@@ -132,6 +132,7 @@ def build_prm_backend(cfg: dict) -> tuple[object, bool]:
                 api_key_env=cfg.get("api_key_env", "QNAV_API_KEY"),
                 timeout_s=float(cfg.get("timeout_s", 120.0)),
                 max_attempts=int(cfg.get("max_attempts", 3)),
+                backoff_base_s=float(cfg.get("backoff_base_s", 0.5)),
             )), False
         except KeyError as exc:
             raise ConfigError(f"prm config missing {exc.args[0]!r}") from exc

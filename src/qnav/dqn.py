@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .core import ActionKind, EpisodeFailure, StateVector, Transition, encode_state
+from .core import STATE_DIM, ActionKind, EpisodeFailure, StateVector, Transition, encode_state
 from .net import DEFAULT_WIDTHS, Adam, DuelingNet
 
 log = logging.getLogger(__name__)
@@ -86,59 +85,109 @@ def lr_at(cfg: TrainerConfig, episode: int) -> float:
     return cfg.lr * cfg.lr_decay ** (episode // cfg.lr_decay_every)
 
 
+class Batch(NamedTuple):
+    """Encoded transitions, one row per transition."""
+
+    states: np.ndarray  # (B, STATE_DIM) float64
+    actions: np.ndarray  # (B,) int
+    rewards: np.ndarray  # (B,) float64
+    next_states: np.ndarray  # (B, STATE_DIM) float64
+    done: np.ndarray  # (B,) bool
+
+    @classmethod
+    def of(cls, transitions: Sequence[Transition]) -> "Batch":
+        """Encode transitions held outside a replay buffer."""
+        return cls(
+            np.stack([encode_state(t.state) for t in transitions]),
+            np.array([int(t.action) for t in transitions]),
+            np.array([t.reward for t in transitions], dtype=np.float64),
+            np.stack([encode_state(t.next_state) for t in transitions]),
+            np.array([t.done for t in transitions], dtype=bool),
+        )
+
+
 class ReplayBuffer:
-    """FIFO transition store with uniform sampling without replacement."""
+    """The last `capacity` transitions, encoded, in preallocated ring arrays.
+
+    Each state is encoded once, on push; once full, a push overwrites the
+    oldest transition. sample draws n positions uniformly without
+    replacement, counted from the oldest transition, with
+    rng.sample(range(len(self)), n): the same draws, from the same RNG
+    stream, as sampling a list of the stored transitions.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: deque[Transition] = deque(maxlen=capacity)
+        self._states = np.empty((capacity, STATE_DIM))
+        self._actions = np.empty(capacity, dtype=np.int64)
+        self._rewards = np.empty(capacity)
+        self._next_states = np.empty((capacity, STATE_DIM))
+        self._done = np.empty(capacity, dtype=bool)
+        self._next = 0  # slot the next push writes
+        self._size = 0
 
     def push(self, transition: Transition) -> None:
-        self._items.append(transition)
+        i = self._next
+        self._states[i] = encode_state(transition.state)
+        self._actions[i] = int(transition.action)
+        self._rewards[i] = transition.reward
+        self._next_states[i] = encode_state(transition.next_state)
+        self._done[i] = transition.done
+        self._next = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n: int, rng: random.Random) -> list[Transition]:
-        if n > len(self._items):
-            raise ValueError(f"cannot sample {n} of {len(self._items)}")
-        return rng.sample(list(self._items), n)
+    def sample(self, n: int, rng: random.Random) -> Batch:
+        if n > self._size:
+            raise ValueError(f"cannot sample {n} of {self._size}")
+        slots = np.array(rng.sample(range(self._size), n), dtype=np.intp)
+        slots += self._next - self._size  # position 0 is the oldest transition
+        slots %= self.capacity
+        return Batch(
+            self._states[slots],
+            self._actions[slots],
+            self._rewards[slots],
+            self._next_states[slots],
+            self._done[slots],
+        )
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
 
 def td_targets(
-    batch: Sequence[Transition], online: DuelingNet, target: DuelingNet, gamma: float
+    batch: Batch | Sequence[Transition], online: DuelingNet, target: DuelingNet, gamma: float
 ) -> np.ndarray:
     """Double-DQN regression targets for a batch, shape (B,)."""
-    rewards = np.array([t.reward for t in batch], dtype=np.float64)
-    done = np.array([t.done for t in batch], dtype=bool)
-    next_x = np.stack([encode_state(t.next_state) for t in batch])
-    best = online.forward_batch(next_x).argmax(axis=1)
-    next_q = target.forward_batch(next_x)[np.arange(len(batch)), best]
-    return rewards + np.where(done, 0.0, gamma * next_q)
+    if not isinstance(batch, Batch):
+        batch = Batch.of(batch)
+    best = online.forward_batch(batch.next_states).argmax(axis=1)
+    next_q = target.forward_batch(batch.next_states)[np.arange(len(best)), best]
+    return batch.rewards + np.where(batch.done, 0.0, gamma * next_q)
 
 
 def train_step(
     online: DuelingNet,
     target: DuelingNet,
     adam: Adam,
-    batch: Sequence[Transition],
+    batch: Batch | Sequence[Transition],
     gamma: float,
     lr: float,
 ) -> float:
     """One gradient step on mean squared TD error; returns the loss."""
-    n = len(batch)
-    x = np.stack([encode_state(t.state) for t in batch])
-    actions = np.array([int(t.action) for t in batch])
+    if not isinstance(batch, Batch):
+        batch = Batch.of(batch)
     y = td_targets(batch, online, target, gamma)
-    q = online.forward_batch(x)
-    taken = q[np.arange(n), actions]
+    q, cache = online.forward_batch_cached(batch.states)
+    n = len(y)
+    rows = np.arange(n)
+    taken = q[rows, batch.actions]
     diff = taken - y
     loss = float(np.mean(diff * diff))
     dq = np.zeros_like(q)
-    dq[np.arange(n), actions] = 2.0 * diff / n
-    grads = online.backward_batch(x, dq)
+    dq[rows, batch.actions] = 2.0 * diff / n
+    grads = online.backward_batch(batch.states, dq, cache)
     adam.step(online, grads, lr)
     return loss
 

@@ -14,7 +14,8 @@ dV = sum(dQ), dA = dQ - mean(dQ).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +33,27 @@ class CheckpointError(Exception):
     """Raised for unreadable, mismatched, or wrong-version checkpoints."""
 
 
+def _param_shapes(widths: tuple[int, int]) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in PARAM_KEYS order (the flat-buffer layout)."""
+    h1, h2 = widths
+    return {
+        "w1": (h1, STATE_DIM),
+        "b1": (h1,),
+        "w2": (h2, h1),
+        "b2": (h2,),
+        "wv": (h2,),
+        "bv": (1,),
+        "wa": (NUM_ACTIONS, h2),
+        "ba": (NUM_ACTIONS,),
+    }
+
+
 def parameter_count(widths: tuple[int, int]) -> int:
     """Total scalar parameters for the given hidden widths (biases included)."""
-    h1, h2 = widths
-    return (STATE_DIM * h1 + h1) + (h1 * h2 + h2) + (h2 + 1) + (NUM_ACTIONS * h2 + NUM_ACTIONS)
+    return sum(math.prod(shape) for shape in _param_shapes(widths).values())
 
 
-@dataclass
-class _Cache:
+class _Cache(NamedTuple):
     """Forward activations kept for the backward pass."""
 
     x: np.ndarray
@@ -50,29 +64,32 @@ class _Cache:
 
 
 class DuelingNet:
-    """Two hidden layers plus value/advantage heads over 5 actions."""
+    """Two hidden layers plus value/advantage heads over 5 actions.
+
+    All parameters live in one float64 buffer, ``flat``; each ``params[k]`` is
+    a shaped view into it, so optimizer steps and target syncs touch the
+    whole net in one operation.
+    """
 
     def __init__(self, params: dict[str, np.ndarray]):
         missing = [k for k in PARAM_KEYS if k not in params]
         if missing:
             raise ValueError(f"missing parameters: {missing}")
-        self.params = {k: np.asarray(params[k], dtype=np.float64) for k in PARAM_KEYS}
-        h1 = self.params["b1"].shape[0]
-        h2 = self.params["b2"].shape[0]
-        expected = {
-            "w1": (h1, STATE_DIM),
-            "b1": (h1,),
-            "w2": (h2, h1),
-            "b2": (h2,),
-            "wv": (h2,),
-            "bv": (1,),
-            "wa": (NUM_ACTIONS, h2),
-            "ba": (NUM_ACTIONS,),
-        }
-        for k, shape in expected.items():
-            if self.params[k].shape != shape:
-                raise ValueError(f"parameter {k} has shape {self.params[k].shape}, expected {shape}")
-        self.widths = (h1, h2)
+        arrays = {k: np.asarray(params[k], dtype=np.float64) for k in PARAM_KEYS}
+        self.widths = (arrays["b1"].shape[0], arrays["b2"].shape[0])
+        shapes = _param_shapes(self.widths)
+        for k, shape in shapes.items():
+            if arrays[k].shape != shape:
+                raise ValueError(f"parameter {k} has shape {arrays[k].shape}, expected {shape}")
+        self.flat = np.empty(parameter_count(self.widths))
+        self.params: dict[str, np.ndarray] = {}
+        offset = 0
+        for k, shape in shapes.items():
+            size = arrays[k].size
+            view = self.flat[offset : offset + size].reshape(shape)
+            view[...] = arrays[k]
+            self.params[k] = view
+            offset += size
 
     @classmethod
     def initialize(cls, seed: int, widths: tuple[int, int] = DEFAULT_WIDTHS) -> "DuelingNet":
@@ -100,17 +117,16 @@ class DuelingNet:
 
     @property
     def num_parameters(self) -> int:
-        return parameter_count(self.widths)
+        return self.flat.size
 
     def clone(self) -> "DuelingNet":
-        return DuelingNet({k: v.copy() for k, v in self.params.items()})
+        return DuelingNet(self.params)
 
     def load_state(self, other: "DuelingNet") -> None:
         """Copy parameters in place (target-network sync)."""
         if other.widths != self.widths:
             raise ValueError(f"width mismatch: {other.widths} vs {self.widths}")
-        for k in PARAM_KEYS:
-            np.copyto(self.params[k], other.params[k])
+        np.copyto(self.flat, other.flat)
 
     # -- forward ------------------------------------------------------------
 
@@ -121,11 +137,16 @@ class DuelingNet:
             not batched and x.shape != (STATE_DIM,)
         ):
             raise ValueError(f"bad input shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("non-finite input")
         return x
 
-    def _forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Cache]:
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Cache]:
+        """Value and advantage for one state (7,) or a batch (B, 7).
+
+        numpy multiplies a single state by the same BLAS call as a batch of
+        one, so both shapes give the same bits.
+        """
         p = self.params
         z1 = x @ p["w1"].T + p["b1"]
         h1 = np.maximum(z1, 0.0)
@@ -137,37 +158,47 @@ class DuelingNet:
 
     def value_and_advantage(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = self._check_input(x, batched=False)
-        value, advantage, _ = self._forward_batch(x[None, :])
-        return float(value[0]), advantage[0]
+        value, advantage, _ = self._forward(x)
+        return float(value), advantage
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for one state, shape (5,)."""
         value, advantage = self.value_and_advantage(x)
-        return value + advantage - advantage.mean()
+        # sum / count is exactly what ndarray.mean computes, minus its overhead
+        return value + advantage - advantage.sum() / NUM_ACTIONS
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Q-values for a batch of states, shape (B, 5)."""
+        return self.forward_batch_cached(x)[0]
+
+    def forward_batch_cached(self, x: np.ndarray) -> tuple[np.ndarray, _Cache]:
+        """forward_batch plus the activations that backward_batch can reuse."""
         x = self._check_input(x, batched=True)
-        value, advantage, _ = self._forward_batch(x)
-        return value[:, None] + advantage - advantage.mean(axis=1, keepdims=True)
+        value, advantage, cache = self._forward(x)
+        q = value[:, None] + advantage - advantage.sum(axis=1, keepdims=True) / NUM_ACTIONS
+        return q, cache
 
     # -- backward -----------------------------------------------------------
 
-    def backward_batch(self, x: np.ndarray, dq: np.ndarray) -> dict[str, np.ndarray]:
+    def backward_batch(
+        self, x: np.ndarray, dq: np.ndarray, cache: _Cache | None = None
+    ) -> dict[str, np.ndarray]:
         """Gradients of sum_b dq[b] . Q(x[b]) w.r.t. every parameter.
 
         dq is the upstream gradient per row; gradients are summed over the
-        batch, so mean-loss scaling belongs in dq itself.
+        batch, so mean-loss scaling belongs in dq itself. cache, when given,
+        must come from forward_batch_cached(x) with the current parameters;
+        it saves recomputing the forward pass.
         """
-        x = self._check_input(x, batched=True)
+        if cache is None:
+            _, _, cache = self._forward(self._check_input(x, batched=True))
         dq = np.asarray(dq, dtype=np.float64)
-        if dq.shape != (x.shape[0], NUM_ACTIONS):
+        if dq.shape != (cache.x.shape[0], NUM_ACTIONS):
             raise ValueError(f"bad upstream gradient shape {dq.shape}")
         p = self.params
-        _, _, cache = self._forward_batch(x)
 
         dvalue = dq.sum(axis=1)
-        dadv = dq - dq.mean(axis=1, keepdims=True)
+        dadv = dq - dq.sum(axis=1, keepdims=True) / NUM_ACTIONS
 
         grads = {
             "wv": cache.h2.T @ dvalue,
@@ -198,7 +229,9 @@ class Adam:
         v <- beta2*v + (1-beta2)*g^2      vhat = v / (1 - beta2^t)
         theta <- theta - lr * mhat / (sqrt(vhat) + eps)
 
-    The learning rate is passed per step so an external schedule can drive it.
+    The moments are flat, like the net's parameter buffer, so one step is a
+    handful of whole-buffer operations. The learning rate is passed per step
+    so an external schedule can drive it.
     """
 
     def __init__(self, net: DuelingNet, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -206,20 +239,20 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in net.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in net.params.items()}
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
 
     def step(self, net: DuelingNet, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for k in PARAM_KEYS:
-            g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            mhat = self.m[k] / bc1
-            vhat = self.v[k] / bc2
-            net.params[k] -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        g = np.concatenate([grads[k] for k in PARAM_KEYS], axis=None)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        net.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -217,6 +217,20 @@ class TestConfigHandling:
         assert code == cli.EXIT_CONFIG
         assert "unknown prm backend" in capsys.readouterr().err
 
+    def test_wire_prm_keeps_configured_retry_settings(self):
+        prm, offline = cli.build_prm_backend(
+            {
+                "backend": "wire",
+                "base_url": "http://localhost:9",
+                "max_attempts": 5,
+                "backoff_base_s": 0.01,
+            }
+        )
+        assert offline is False
+        assert isinstance(prm, gateway.WirePrm)
+        assert prm.cfg.max_attempts == 5
+        assert prm.cfg.backoff_base_s == 0.01
+
     def test_unknown_enabled_block_name(self, tmp_path, capsys):
         doc = scripted_config(
             env={"enabled_blocks": ["REASON_ONE_STEP", "TERMINATE", "PONDER"]}

@@ -88,6 +88,47 @@ class TestInitialization:
         assert dst.params["w1"][0, 0] != src.params["w1"][0, 0]
 
 
+def assert_params_are_views(net):
+    for k in PARAM_KEYS:
+        assert np.shares_memory(net.params[k], net.flat), k
+    assert sum(net.params[k].size for k in PARAM_KEYS) == net.flat.size
+
+
+class TestFlatParameters:
+    def test_initialize_lays_params_over_the_buffer(self):
+        net = DuelingNet.initialize(0, (4, 3))
+        assert_params_are_views(net)
+        net.params["ba"][2] = 123.0
+        assert np.count_nonzero(net.flat == 123.0) == 1
+
+    def test_clone_owns_a_separate_buffer(self):
+        net = DuelingNet.initialize(0, (4, 3))
+        twin = net.clone()
+        assert_params_are_views(twin)
+        assert not np.shares_memory(twin.flat, net.flat)
+        for k in PARAM_KEYS:
+            assert not np.shares_memory(twin.params[k], net.flat), k
+        np.testing.assert_array_equal(twin.flat, net.flat)
+
+    def test_load_state_keeps_views(self):
+        src = DuelingNet.initialize(0, (4, 3))
+        dst = DuelingNet.initialize(1, (4, 3))
+        dst.load_state(src)
+        assert_params_are_views(dst)
+        assert not np.shares_memory(dst.flat, src.flat)
+
+    def test_load_checkpoint_keeps_views(self):
+        net = DuelingNet.initialize(2, (4, 3))
+        loaded, _ = load_checkpoint(save_checkpoint(net, seed=2, episodes=0))
+        assert_params_are_views(loaded)
+
+    def test_adam_step_keeps_views(self):
+        net = DuelingNet.initialize(3, (4, 3))
+        grads = {k: np.ones_like(net.params[k]) for k in PARAM_KEYS}
+        Adam(net).step(net, grads, lr=0.01)
+        assert_params_are_views(net)
+
+
 class TestForward:
     def test_dueling_identity(self):
         net = DuelingNet.initialize(0)
@@ -197,7 +238,41 @@ class TestBackward:
             np.testing.assert_allclose(batched[k], summed, atol=1e-12)
 
 
+    def test_cached_forward_gives_the_same_gradients(self):
+        net = DuelingNet.initialize(4, (6, 5))
+        rng = np.random.default_rng(2)
+        xs = rng.uniform(0, 1, size=(8, 7))
+        dqs = rng.normal(size=(8, 5))
+        q, cache = net.forward_batch_cached(xs)
+        np.testing.assert_array_equal(q, net.forward_batch(xs))
+        recomputed = net.backward_batch(xs, dqs)
+        reused = net.backward_batch(xs, dqs, cache)
+        for k in PARAM_KEYS:
+            np.testing.assert_array_equal(reused[k], recomputed[k], err_msg=k)
+
+
 class TestAdam:
+    def test_matches_per_parameter_reference_bit_for_bit(self):
+        # The update as separate per-parameter operations, in the order the
+        # Adam formulas read; the flat, in-place step must reproduce it exactly.
+        rng = np.random.default_rng(17)
+        net = DuelingNet.initialize(8, (6, 5))
+        ref = {k: net.params[k].copy() for k in PARAM_KEYS}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(v) for k, v in ref.items()}
+        opt = Adam(net)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=net.params[k].shape) for k in PARAM_KEYS}
+            lr = 0.01 / t
+            opt.step(net, grads, lr)
+            for k in PARAM_KEYS:
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * grads[k]
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * grads[k] * grads[k]
+                mhat = m[k] / (1.0 - 0.9**t)
+                vhat = v[k] / (1.0 - 0.999**t)
+                ref[k] -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+                np.testing.assert_array_equal(net.params[k], ref[k], err_msg=k)
+
     def test_first_step_closed_form(self):
         # With fresh moments, mhat = g and sqrt(vhat) = |g|, so the step is
         # -lr * g / (|g| + eps) regardless of the gradient's magnitude.
