@@ -10,10 +10,12 @@ usage error, 3 data error (datasets, checkpoints, files), 4 gateway error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
 import time
+import typing
 from pathlib import Path
 
 from . import dqn, evalkit, synthetic
@@ -62,6 +64,76 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _section(file_cfg: dict, name: str) -> dict:
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return dict(section)
+
+
+def _coerce(hint, value):
+    """value as a field of type hint: int, float, str, tuple of ints, frozenset of ActionKind names."""
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ValueError(f"expected a list of {len(args)} numbers")
+        return tuple(arg(v) for arg, v in zip(args, value))
+    if origin is frozenset:
+        if not isinstance(value, list):
+            raise ValueError("expected a list of action names")
+        try:
+            return frozenset(ActionKind[name] for name in value)
+        except KeyError as exc:
+            raise ValueError(f"unknown action name {exc.args[0]!r}") from None
+    if hint is str and not isinstance(value, str):
+        raise ValueError("expected a string")
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return hint(value)
+
+
+def _from_section(cls, section: dict, name: str, **fixed):
+    """Config dataclass cls from a JSON section, each value coerced to its field's type.
+
+    fixed sets fields the section may not. A key that is not a settable field,
+    a value that does not coerce, a missing required field and a value cls
+    rejects are each a ConfigError naming the section.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    kwargs = dict(fixed)
+    for key, value in section.items():
+        if key not in fields or key in fixed:
+            raise ConfigError(f"{name}.{key}: unknown key")
+        try:
+            kwargs[key] = _coerce(hints[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from exc
+    for key, f in fields.items():
+        if key not in kwargs and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{name} config missing {key!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _to_section(cfg, *omit: str) -> dict:
+    """JSON section for config dataclass cfg; the inverse of _from_section."""
+    section = {}
+    for f in dataclasses.fields(cfg):
+        if f.name in omit:
+            continue
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, frozenset):
+            value = sorted(a.name for a in value)
+        section[f.name] = value
+    return section
+
+
 def _pick(flag_value, file_cfg: dict, key: str, default):
     if flag_value is not None:
         return flag_value
@@ -103,19 +175,8 @@ def build_chat_backend(cfg: dict) -> tuple[object, bool]:
             True,
         )
     if kind == "openai":
-        try:
-            wire = WireConfig(
-                base_url=cfg["base_url"],
-                model=cfg["model"],
-                api_key_env=cfg.get("api_key_env", "QNAV_API_KEY"),
-                timeout_s=float(cfg.get("timeout_s", 120.0)),
-                max_attempts=int(cfg.get("max_attempts", 3)),
-                backoff_base_s=float(cfg.get("backoff_base_s", 0.5)),
-                max_in_flight=int(cfg.get("max_in_flight", 4)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"gateway config missing {exc.args[0]!r}") from exc
-        return OpenAIChatBackend(wire), False
+        fields = {k: v for k, v in cfg.items() if k != "backend"}
+        return OpenAIChatBackend(_from_section(WireConfig, fields, "gateway")), False
     raise ConfigError(f"unknown gateway backend {kind!r}")
 
 
@@ -126,21 +187,13 @@ def build_prm_backend(cfg: dict) -> tuple[object, bool]:
         rules = [(str(c), float(v)) for c, v in cfg.get("rules", [])]
         return ScriptedPrm(rules, default=float(cfg.get("default", 0.5))), True
     if kind == "wire":
-        try:
-            return WirePrm(PrmWireConfig(
-                base_url=cfg["base_url"],
-                api_key_env=cfg.get("api_key_env", "QNAV_API_KEY"),
-                timeout_s=float(cfg.get("timeout_s", 120.0)),
-                max_attempts=int(cfg.get("max_attempts", 3)),
-                backoff_base_s=float(cfg.get("backoff_base_s", 0.5)),
-            )), False
-        except KeyError as exc:
-            raise ConfigError(f"prm config missing {exc.args[0]!r}") from exc
+        fields = {k: v for k, v in cfg.items() if k != "backend"}
+        return WirePrm(_from_section(PrmWireConfig, fields, "prm")), False
     raise ConfigError(f"unknown prm backend {kind!r}")
 
 
 def _gateway_section(args, file_cfg: dict) -> dict:
-    section = dict(file_cfg.get("gateway", {}))
+    section = _section(file_cfg, "gateway")
     if getattr(args, "base_url", None) is not None:
         section["base_url"] = args.base_url
         section.setdefault("backend", "openai")
@@ -153,75 +206,14 @@ def _gateway_section(args, file_cfg: dict) -> dict:
 
 
 def _env_config(file_cfg: dict) -> EnvConfig:
-    section = dict(file_cfg.get("env", {}))
-    blocks = section.pop("enabled_blocks", None)
-    kwargs = {}
-    for key in ("max_actions", "self_eval_retry", "subtask_cap", "max_output_tokens"):
-        if key in section:
-            kwargs[key] = int(section[key])
-    if "temperature" in section:
-        kwargs["temperature"] = float(section["temperature"])
-    if blocks is not None:
-        try:
-            kwargs["enabled_blocks"] = frozenset(ActionKind[name] for name in blocks)
-        except KeyError as exc:
-            raise ConfigError(f"unknown action name in enabled_blocks: {exc.args[0]!r}") from exc
-    try:
-        return EnvConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _from_section(EnvConfig, _section(file_cfg, "env"), "env")
 
 
 def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
-    section = dict(file_cfg.get("trainer", {}))
+    section = _section(file_cfg, "trainer")
     if getattr(args, "episodes", None) is not None:
         section["episodes"] = args.episodes
-    kwargs = {}
-    for key in (
-        "gamma", "lr", "lr_decay", "epsilon_start", "epsilon_min", "epsilon_decay",
-    ):
-        if key in section:
-            kwargs[key] = float(section[key])
-    for key in (
-        "episodes", "batch_size", "target_sync_interval", "lr_decay_every", "buffer_capacity",
-    ):
-        if key in section:
-            kwargs[key] = int(section[key])
-    if "widths" in section:
-        widths = section["widths"]
-        kwargs["widths"] = (int(widths[0]), int(widths[1]))
-    try:
-        return dqn.TrainerConfig(seed=seed, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _trainer_jsonable(cfg: dqn.TrainerConfig) -> dict:
-    return {
-        "gamma": cfg.gamma,
-        "episodes": cfg.episodes,
-        "batch_size": cfg.batch_size,
-        "target_sync_interval": cfg.target_sync_interval,
-        "lr": cfg.lr,
-        "lr_decay": cfg.lr_decay,
-        "lr_decay_every": cfg.lr_decay_every,
-        "buffer_capacity": cfg.buffer_capacity,
-        "epsilon_start": cfg.epsilon_start,
-        "epsilon_min": cfg.epsilon_min,
-        "epsilon_decay": cfg.epsilon_decay,
-        "widths": list(cfg.widths),
-    }
-
-
-def _env_jsonable(cfg: EnvConfig) -> dict:
-    return {
-        "max_actions": cfg.max_actions,
-        "enabled_blocks": sorted(a.name for a in cfg.enabled_blocks),
-        "self_eval_retry": cfg.self_eval_retry,
-        "subtask_cap": cfg.subtask_cap,
-        "temperature": cfg.temperature,
-        "max_output_tokens": cfg.max_output_tokens,
-    }
+    return _from_section(dqn.TrainerConfig, section, "trainer", seed=seed)
 
 
 # -- commands -------------------------------------------------------------------
@@ -272,7 +264,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --hard-set")
     out = _out_dir(args, seed, file_cfg)
     gateway_cfg = _gateway_section(args, file_cfg)
-    prm_cfg = dict(file_cfg.get("prm", {}))
+    prm_cfg = _section(file_cfg, "prm")
     chat, _ = build_chat_backend(gateway_cfg)
     prm, _ = build_prm_backend(prm_cfg)
     env_cfg = _env_config(file_cfg)
@@ -316,8 +308,8 @@ def cmd_train(args) -> int:
         "out_dir": str(out),
         "gateway": gateway_cfg,
         "prm": prm_cfg,
-        "trainer": _trainer_jsonable(trainer_cfg),
-        "env": _env_jsonable(env_cfg),
+        "trainer": _to_section(trainer_cfg, "seed"),
+        "env": _to_section(env_cfg),
     })
     mean_return = sum(s.episode_return for s in stats) / len(stats)
     print(f"trained {trainer_cfg.episodes} episodes (seed {seed}); mean return {mean_return:.4f}")
@@ -336,7 +328,7 @@ def cmd_eval(args) -> int:
     trials = int(_pick(args.trials, file_cfg, "trials", 3))
     out = _out_dir(args, seed, file_cfg)
     gateway_cfg = _gateway_section(args, file_cfg)
-    prm_cfg = dict(file_cfg.get("prm", {}))
+    prm_cfg = _section(file_cfg, "prm")
     chat, chat_offline = build_chat_backend(gateway_cfg)
     prm, prm_offline = build_prm_backend(prm_cfg)
     env_cfg = _env_config(file_cfg)
@@ -373,7 +365,7 @@ def cmd_eval(args) -> int:
         "out_dir": str(out),
         "gateway": gateway_cfg,
         "prm": prm_cfg,
-        "env": _env_jsonable(env_cfg),
+        "env": _to_section(env_cfg),
     })
     print(f"accuracy {report.correct}/{report.total} = {report.accuracy:.4f}")
     print(f"artifacts in {out}")
@@ -439,7 +431,7 @@ def cmd_synth_train(args) -> int:
         "min_pass": min_pass,
         "seeds": ",".join(str(s) for s in seeds),
         "out_dir": str(out),
-        "trainer": _trainer_jsonable(first_trainer_cfg),
+        "trainer": _to_section(first_trainer_cfg, "seed"),
     })
     print(f"{passed}/{len(seeds)} seeds passed (need {min_pass}): "
           f"{'PASS' if verdict else 'FAIL'}")

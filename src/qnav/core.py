@@ -98,10 +98,6 @@ class ReasoningContext:
             actions_taken=self.actions_taken + 1,
         )
 
-    def bump(self) -> "ReasoningContext":
-        """Count an action that appended no step (terminal bookkeeping)."""
-        return replace(self, actions_taken=self.actions_taken + 1)
-
 
 @dataclass(frozen=True)
 class Transition:

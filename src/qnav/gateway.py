@@ -13,8 +13,8 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
 DEFAULT_API_KEY_ENV = "QNAV_API_KEY"
+
+T = TypeVar("T")
 
 
 class GatewayError(Exception):
@@ -85,30 +87,68 @@ class ChatBackend(Protocol):
 
 
 def call_with_retries(
-    fn: Callable[[], ChatExchange],
+    fn: Callable[[], T],
     max_attempts: int,
     backoff_base: float,
     sleep: Callable[[float], None] = time.sleep,
-) -> ChatExchange:
+) -> tuple[T, int]:
     """Run fn, retrying transient failures with exponential backoff.
 
-    The returned exchange has attempts set to the number of calls made.
+    Returns fn's value and the number of calls made.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
     last: GatewayTransientError | None = None
     for attempt in range(1, max_attempts + 1):
         try:
-            exchange = fn()
+            return fn(), attempt
         except GatewayTransientError as exc:
             last = exc
             if attempt < max_attempts:
-                delay = backoff_base * (2 ** (attempt - 1))
                 log.warning("transient gateway failure (attempt %d/%d): %s", attempt, max_attempts, exc)
-                sleep(delay)
-            continue
-        return replace(exchange, attempts=attempt)
+                sleep(backoff_base * (2 ** (attempt - 1)))
     raise GatewayRetryError(f"gave up after {max_attempts} attempts") from last
+
+
+def _check_retry_policy(cfg: WireConfig | PrmWireConfig) -> None:
+    if cfg.timeout_s <= 0:
+        raise ValueError("timeout_s must be positive")
+    if cfg.max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
+    if cfg.backoff_base_s < 0:
+        raise ValueError("backoff_base_s must not be negative")
+
+
+def _post_json(
+    session: requests.Session, cfg: WireConfig | PrmWireConfig, path: str, payload: dict
+) -> tuple[object, float]:
+    """POST payload to cfg.base_url + path: (decoded JSON body, seconds spent in the POST).
+
+    Sends a bearer header when the variable named by cfg.api_key_env is set.
+    Connection trouble, timeouts, 429 and 5xx raise GatewayTransientError,
+    401/403 GatewayAuthError, any other non-200 status or a body that is not
+    JSON GatewayProtocolError.
+    """
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(cfg.api_key_env)
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    started = time.monotonic()
+    try:
+        resp = session.post(cfg.base_url.rstrip("/") + path, json=payload, headers=headers, timeout=cfg.timeout_s)
+    except (requests.Timeout, requests.ConnectionError) as exc:
+        raise GatewayTransientError(f"request failed: {exc}") from exc
+    latency = time.monotonic() - started
+    if resp.status_code in (401, 403):
+        raise GatewayAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
+    if resp.status_code == 429 or resp.status_code >= 500:
+        raise GatewayTransientError(f"HTTP {resp.status_code}")
+    if resp.status_code != 200:
+        raise GatewayProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+    try:
+        return resp.json(), latency
+    except ValueError as exc:
+        raise GatewayProtocolError(f"response body is not JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -128,6 +168,11 @@ class WireConfig:
     backoff_base_s: float = 0.5
     max_in_flight: int = 4
 
+    def __post_init__(self) -> None:
+        _check_retry_policy(self)
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be at least 1")
+
 
 class OpenAIChatBackend:
     """Chat-completions client with retry, backoff, and an in-flight cap."""
@@ -140,44 +185,24 @@ class OpenAIChatBackend:
         self._slots = threading.BoundedSemaphore(cfg.max_in_flight)
 
     def complete(self, request: ChatRequest) -> ChatExchange:
-        with self._slots:
-            return call_with_retries(
-                lambda: self._complete_once(request),
-                self.cfg.max_attempts,
-                self.cfg.backoff_base_s,
-                self._sleep,
-            )
-
-    def _complete_once(self, request: ChatRequest) -> ChatExchange:
-        url = self.cfg.base_url.rstrip("/") + "/chat/completions"
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        started = time.monotonic()
+        with self._slots:
+            (doc, latency), attempts = call_with_retries(
+                lambda: _post_json(self._session, self.cfg, "/chat/completions", payload),
+                self.cfg.max_attempts,
+                self.cfg.backoff_base_s,
+                self._sleep,
+            )
         try:
-            resp = self._session.post(url, json=payload, headers=headers, timeout=self.cfg.timeout_s)
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            raise GatewayTransientError(f"request failed: {exc}") from exc
-        latency = time.monotonic() - started
-        if resp.status_code in (401, 403):
-            raise GatewayAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise GatewayTransientError(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise GatewayProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            doc = resp.json()
             text = doc["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError("content is not a string")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise GatewayProtocolError(f"malformed completion payload: {exc}") from exc
         usage_doc = doc.get("usage") or {}
         usage = Usage(
@@ -186,7 +211,7 @@ class OpenAIChatBackend:
         )
         if not usage_doc:
             log.warning("completion response carried no usage block")
-        return ChatExchange(request=request, text=text, usage=usage, latency_s=latency)
+        return ChatExchange(request=request, text=text, usage=usage, latency_s=latency, attempts=attempts)
 
 
 @dataclass
@@ -270,22 +295,6 @@ class ScriptedChatBackend:
         raise UnmatchedPromptError(f"no rule matches prompt: {prompt[:120]!r}...")
 
 
-class RetryingBackend:
-    """Wrap any backend with the gateway retry policy."""
-
-    def __init__(self, inner: ChatBackend, max_attempts: int = 3, backoff_base_s: float = 0.5,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.inner = inner
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self._sleep = sleep
-
-    def complete(self, request: ChatRequest) -> ChatExchange:
-        return call_with_retries(
-            lambda: self.inner.complete(request), self.max_attempts, self.backoff_base_s, self._sleep
-        )
-
-
 # -- process reward model -----------------------------------------------------
 
 
@@ -317,6 +326,9 @@ class PrmWireConfig:
     max_attempts: int = 3
     backoff_base_s: float = 0.5
 
+    def __post_init__(self) -> None:
+        _check_retry_policy(self)
+
 
 class WirePrm:
     def __init__(self, cfg: PrmWireConfig, session: requests.Session | None = None,
@@ -326,40 +338,15 @@ class WirePrm:
         self._sleep = sleep
 
     def score(self, problem: str, reasoning: str) -> float:
-        attempts = 0
-        last: Exception | None = None
-        while attempts < self.cfg.max_attempts:
-            attempts += 1
-            try:
-                return self._score_once(problem, reasoning)
-            except GatewayTransientError as exc:
-                last = exc
-                if attempts < self.cfg.max_attempts:
-                    self._sleep(self.cfg.backoff_base_s * (2 ** (attempts - 1)))
-        raise GatewayRetryError(f"gave up after {self.cfg.max_attempts} attempts") from last
-
-    def _score_once(self, problem: str, reasoning: str) -> float:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.cfg.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+        payload = {"problem": problem, "reasoning": reasoning}
+        (doc, _latency), _attempts = call_with_retries(
+            lambda: _post_json(self._session, self.cfg, "/score", payload),
+            self.cfg.max_attempts,
+            self.cfg.backoff_base_s,
+            self._sleep,
+        )
         try:
-            resp = self._session.post(
-                self.cfg.base_url.rstrip("/") + "/score",
-                json={"problem": problem, "reasoning": reasoning},
-                headers=headers,
-                timeout=self.cfg.timeout_s,
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            raise GatewayTransientError(f"request failed: {exc}") from exc
-        if resp.status_code in (401, 403):
-            raise GatewayAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise GatewayTransientError(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise GatewayProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            return float(resp.json()["score"])
+            return float(doc["score"])
         except (ValueError, KeyError, TypeError) as exc:
             raise GatewayProtocolError(f"malformed score payload: {exc}") from exc
 

@@ -231,6 +231,50 @@ class TestConfigHandling:
         assert prm.cfg.max_attempts == 5
         assert prm.cfg.backoff_base_s == 0.01
 
+    @pytest.mark.parametrize("build, section", [
+        (cli.build_chat_backend, {"backend": "openai", "base_url": "http://localhost:9", "model": "m"}),
+        (cli.build_prm_backend, {"backend": "wire", "base_url": "http://localhost:9"}),
+    ], ids=["gateway", "prm"])
+    @pytest.mark.parametrize("bad", [
+        {"max_attempts": 0},
+        {"timeout_s": 0},
+        {"backoff_base_s": -1},
+        {"max_attempts": "x"},
+        {"retries": 2},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_wire_backends_reject_bad_settings(self, build, section, bad):
+        with pytest.raises(cli.ConfigError):
+            build({**section, **bad})
+
+    def test_zero_in_flight_slots_is_a_config_error(self):
+        with pytest.raises(cli.ConfigError, match="max_in_flight"):
+            cli.build_chat_backend(
+                {"backend": "openai", "base_url": "http://localhost:9", "model": "m", "max_in_flight": 0}
+            )
+
+    @pytest.mark.parametrize("sections, names", [
+        pytest.param({"trainer": {"gamma": "abc"}}, "trainer.gamma", id="trainer.gamma"),
+        pytest.param({"trainer": {"gama": 0.5}}, "trainer.gama", id="trainer.gama"),
+        pytest.param({"trainer": {"seed": 3}}, "trainer.seed", id="trainer.seed"),
+        pytest.param({"trainer": {"widths": [8]}}, "trainer.widths", id="trainer.widths"),
+        pytest.param({"trainer": {"batch_size": 2.5}}, "trainer.batch_size", id="trainer.batch_size"),
+        pytest.param({"env": {"max_action": 2}}, "env.max_action", id="env.max_action"),
+        pytest.param({"env": {"temperature": "hot"}}, "env.temperature", id="env.temperature"),
+        pytest.param({"env": []}, "env must be a JSON object", id="env"),
+        pytest.param({"prm": {"backend": "wire", "base_url": "http://localhost:9", "backoff_base_s": 0.0,
+                              "max_attempts": "x"}}, "prm.max_attempts", id="prm.max_attempts"),
+        pytest.param({"prm": {"backend": "wire", "base_url": "http://localhost:9", "backoff_base_s": 0.0,
+                              "max_attempts": 1, "retries": 2}}, "prm.retries", id="prm.retries"),
+    ])
+    def test_bad_section_value_is_a_config_error(self, tmp_path, capsys, sections, names):
+        cfg = write_config(tmp_path, scripted_config(**sections))
+        data = write_dataset(tmp_path, [numeric_question("q", "9")])
+        code = cli.main(
+            ["train", "--config", cfg, "--hard-set", data, "--episodes", "1", "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert names in capsys.readouterr().err
+
     def test_unknown_enabled_block_name(self, tmp_path, capsys):
         doc = scripted_config(
             env={"enabled_blocks": ["REASON_ONE_STEP", "TERMINATE", "PONDER"]}
@@ -325,6 +369,26 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "trained 12 episodes (seed 5); mean return " in stdout
         assert not list(out.glob("checkpoint_ep*.json"))
+
+    def test_resolved_config_reproduces_the_run(self, tmp_path):
+        doc = scripted_config(
+            seed=3,
+            trainer={"episodes": 15, "batch_size": 4, "buffer_capacity": 8, "widths": [5, 4], "gamma": 0.8},
+            env={"max_actions": 4, "enabled_blocks": ["TERMINATE", "REASON_ONE_STEP", "DEBATE"]},
+        )
+        cfg = write_config(tmp_path, doc)
+        data = write_dataset(tmp_path, [numeric_question("hard", "9")])
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["train", "--config", cfg, "--hard-set", data, "--out-dir", str(first)]) == cli.EXIT_OK
+        resolved = str(first / "resolved_config.json")
+        assert cli.main(["train", "--config", resolved, "--out-dir", str(second)]) == cli.EXIT_OK
+
+        again = json.loads((second / "resolved_config.json").read_text())
+        assert again.pop("out_dir") == str(second)
+        expected = json.loads((first / "resolved_config.json").read_text())
+        expected.pop("out_dir")
+        assert again == expected
+        assert (second / "checkpoint_final.json").read_bytes() == (first / "checkpoint_final.json").read_bytes()
 
     def test_requires_a_hard_set(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scripted_config())

@@ -102,14 +102,6 @@ class TestReasoningContext:
         assert nxt.answer_present is True
         assert ctx.steps == () and ctx.actions_taken == 0
 
-    def test_bump_counts_without_appending(self):
-        ctx = ReasoningContext(
-            problem="p", dataset_kind=DatasetKind.YES_NO, steps=("a",)
-        )
-        bumped = ctx.bump()
-        assert bumped.actions_taken == ctx.actions_taken + 1
-        assert bumped.steps == ctx.steps
-
     def test_frozen(self):
         ctx = ReasoningContext(
             problem="p", dataset_kind=DatasetKind.YES_NO, steps=()

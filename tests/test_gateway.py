@@ -16,7 +16,6 @@ from qnav.gateway import (
     GatewayTransientError,
     OpenAIChatBackend,
     PrmWireConfig,
-    RetryingBackend,
     ScriptExhaustedError,
     ScriptedChatBackend,
     ScriptedPrm,
@@ -127,11 +126,10 @@ class TestCallWithRetries:
             attempts["n"] += 1
             if attempts["n"] < 3:
                 raise GatewayTransientError("boom")
-            return ScriptedChatBackend([ScriptedRule("", "ok")]).complete(ChatRequest("p"))
+            return "ok"
 
-        ex = call_with_retries(fn, max_attempts=3, backoff_base=0.5, sleep=delays.append)
-        assert ex.attempts == 3
-        assert ex.text == "ok"
+        value, n = call_with_retries(fn, max_attempts=3, backoff_base=0.5, sleep=delays.append)
+        assert (value, n) == ("ok", 3)
         assert delays == [0.5, 1.0]  # exponential backoff
 
     def test_budget_exhausted_raises_retry_error(self):
@@ -151,31 +149,98 @@ class TestCallWithRetries:
 
     def test_single_attempt_success_reports_one(self):
         backend = ScriptedChatBackend([ScriptedRule("", "ok")])
-        ex = call_with_retries(
+        ex, n = call_with_retries(
             lambda: backend.complete(ChatRequest("p")), 3, 0.5, sleep=lambda _: None
         )
-        assert ex.attempts == 1
+        assert ex.text == "ok"
+        assert n == 1
+
+    def test_recovers_from_flaky_rule(self):
+        backend = ScriptedChatBackend([ScriptedRule("x", "recovered", fail_times=2)])
+        ex, n = call_with_retries(
+            lambda: backend.complete(ChatRequest("x")), 3, 0.5, sleep=lambda _: None
+        )
+        assert ex.text == "recovered"
+        assert n == 3
 
 
-def test_retrying_backend_recovers_from_flaky_rule():
-    inner = ScriptedChatBackend([ScriptedRule("x", "recovered", fail_times=2)])
-    backend = RetryingBackend(inner, max_attempts=3, sleep=lambda _: None)
-    ex = backend.complete(ChatRequest("x"))
-    assert ex.text == "recovered"
-    assert ex.attempts == 3
+class WireTransportCases:
+    """Transport behaviour both wire clients share; a subclass supplies the client.
+
+    make(outcomes, **cfg) -> (client, session); ok(value) is a 200 response
+    the client reads as value; call(client) returns what the client read.
+    """
+
+    def test_no_auth_header_when_env_unset(self, monkeypatch):
+        monkeypatch.delenv("QNAV_API_KEY", raising=False)
+        client, session = self.make([self.ok(0.5)])
+        self.call(client)
+        assert "Authorization" not in session.calls[0]["headers"]
+
+    def test_bearer_header_from_named_env_var(self, monkeypatch):
+        monkeypatch.setenv("OTHER_KEY", "sk-test")
+        client, session = self.make([self.ok(0.5)], api_key_env="OTHER_KEY")
+        self.call(client)
+        assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
+
+    def test_auth_failure_is_not_retried(self):
+        client, session = self.make([FakeResponse(401, text="denied")])
+        with pytest.raises(GatewayAuthError):
+            self.call(client)
+        assert len(session.calls) == 1
+
+    def test_rate_limit_then_success_retries(self):
+        client, session = self.make([FakeResponse(429), self.ok(0.25)])
+        assert self.call(client) == 0.25
+        assert len(session.calls) == 2
+
+    def test_server_errors_exhaust_budget(self):
+        client, session = self.make([FakeResponse(500)] * 3)
+        with pytest.raises(GatewayRetryError):
+            self.call(client)
+        assert len(session.calls) == 3
+
+    def test_backoff_doubles_per_retry(self):
+        delays = []
+        client, _ = self.make([FakeResponse(503)] * 3, backoff_base_s=0.2, sleep=delays.append)
+        with pytest.raises(GatewayRetryError):
+            self.call(client)
+        assert delays == [0.2, 0.4]
+
+    def test_timeouts_count_as_transient(self):
+        client, _ = self.make([requests.Timeout("slow"), self.ok(0.75)])
+        assert self.call(client) == 0.75
+
+    def test_unexpected_status_is_protocol_error(self):
+        client, _ = self.make([FakeResponse(418, text="teapot")])
+        with pytest.raises(GatewayProtocolError):
+            self.call(client)
+
+    def test_non_json_body_is_protocol_error(self):
+        client, session = self.make([FakeResponse(200, None, text="<html>")])
+        with pytest.raises(GatewayProtocolError):
+            self.call(client)
+        assert len(session.calls) == 1
 
 
-class TestOpenAIChatBackend:
-    def make(self, outcomes, **cfg_overrides):
+class TestOpenAIChatBackend(WireTransportCases):
+    def make(self, outcomes, sleep=lambda _: None, **cfg_overrides):
         cfg = WireConfig(base_url="http://unit.test/v1", model="m", **cfg_overrides)
         session = FakeSession(outcomes)
-        return OpenAIChatBackend(cfg, session=session, sleep=lambda _: None), session
+        return OpenAIChatBackend(cfg, session=session, sleep=sleep), session
+
+    def ok(self, value):
+        return FakeResponse(200, completion_payload(str(value)))
+
+    def call(self, backend):
+        return float(backend.complete(ChatRequest("hi")).text)
 
     def test_parses_completion_and_usage(self):
         backend, session = self.make([FakeResponse(200, completion_payload("out"))])
         ex = backend.complete(ChatRequest("hi", temperature=0.3, max_output_tokens=77))
         assert ex.text == "out"
         assert ex.usage == Usage(input_tokens=12, output_tokens=5)
+        assert ex.attempts == 1
         call = session.calls[0]
         assert call["url"] == "http://unit.test/v1/chat/completions"
         assert call["json"]["messages"] == [{"role": "user", "content": "hi"}]
@@ -183,54 +248,14 @@ class TestOpenAIChatBackend:
         assert call["json"]["max_tokens"] == 77
         assert call["json"]["model"] == "m"
 
-    def test_no_auth_header_when_env_unset(self, monkeypatch):
-        monkeypatch.delenv("QNAV_API_KEY", raising=False)
-        backend, session = self.make([FakeResponse(200, completion_payload())])
-        backend.complete(ChatRequest("hi"))
-        assert "Authorization" not in session.calls[0]["headers"]
-
-    def test_bearer_header_from_named_env_var(self, monkeypatch):
-        monkeypatch.setenv("OTHER_KEY", "sk-test")
-        backend, session = self.make(
-            [FakeResponse(200, completion_payload())], api_key_env="OTHER_KEY"
-        )
-        backend.complete(ChatRequest("hi"))
-        assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
-
-    def test_auth_failure_is_not_retried(self):
-        backend, session = self.make([FakeResponse(401, text="denied")])
-        with pytest.raises(GatewayAuthError):
-            backend.complete(ChatRequest("hi"))
-        assert len(session.calls) == 1
-
-    def test_rate_limit_then_success_retries(self):
-        backend, session = self.make(
-            [FakeResponse(429), FakeResponse(200, completion_payload("later"))]
-        )
+    def test_exchange_counts_attempts(self):
+        backend, _ = self.make([FakeResponse(429), FakeResponse(200, completion_payload("later"))])
         ex = backend.complete(ChatRequest("hi"))
         assert ex.text == "later"
         assert ex.attempts == 2
-        assert len(session.calls) == 2
-
-    def test_server_errors_exhaust_budget(self):
-        backend, session = self.make([FakeResponse(500)] * 3)
-        with pytest.raises(GatewayRetryError):
-            backend.complete(ChatRequest("hi"))
-        assert len(session.calls) == 3
-
-    def test_timeouts_count_as_transient(self):
-        backend, _ = self.make(
-            [requests.Timeout("slow"), FakeResponse(200, completion_payload("ok"))]
-        )
-        assert backend.complete(ChatRequest("hi")).text == "ok"
 
     def test_malformed_payload_is_protocol_error(self):
         backend, _ = self.make([FakeResponse(200, {"choices": []})])
-        with pytest.raises(GatewayProtocolError):
-            backend.complete(ChatRequest("hi"))
-
-    def test_unexpected_status_is_protocol_error(self):
-        backend, _ = self.make([FakeResponse(418, text="teapot")])
         with pytest.raises(GatewayProtocolError):
             backend.complete(ChatRequest("hi"))
 
@@ -238,6 +263,39 @@ class TestOpenAIChatBackend:
         payload = {"choices": [{"message": {"content": "x"}}]}
         backend, _ = self.make([FakeResponse(200, payload)])
         assert backend.complete(ChatRequest("hi")).usage == Usage(0, 0)
+
+
+class TestWirePrmTransport(WireTransportCases):
+    def make(self, outcomes, sleep=lambda _: None, **cfg_overrides):
+        cfg = PrmWireConfig(base_url="http://unit.test", **cfg_overrides)
+        session = FakeSession(outcomes)
+        return WirePrm(cfg, session=session, sleep=sleep), session
+
+    def ok(self, value):
+        return FakeResponse(200, {"score": value})
+
+    def call(self, prm):
+        return prm.score("p", "r")
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda **kw: WireConfig(base_url="http://unit.test", model="m", **kw),
+    lambda **kw: PrmWireConfig(base_url="http://unit.test", **kw),
+], ids=["chat", "prm"])
+@pytest.mark.parametrize("bad", [
+    {"max_attempts": 0},
+    {"timeout_s": 0.0},
+    {"timeout_s": -1.0},
+    {"backoff_base_s": -0.1},
+])
+def test_wire_configs_reject_unusable_retry_policy(make_cfg, bad):
+    with pytest.raises(ValueError):
+        make_cfg(**bad)
+
+
+def test_wire_config_rejects_zero_in_flight_slots():
+    with pytest.raises(ValueError, match="max_in_flight"):
+        WireConfig(base_url="http://unit.test", model="m", max_in_flight=0)
 
 
 class TestPrm:
