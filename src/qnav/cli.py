@@ -10,11 +10,14 @@ usage error, 3 data error (datasets, checkpoints, files), 4 gateway error,
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import dataclasses
+import inspect
 import json
 import logging
 import sys
 import time
+import types
 import typing
 from pathlib import Path
 
@@ -27,7 +30,6 @@ from .gateway import (
     PrmWireConfig,
     ScriptedChatBackend,
     ScriptedPrm,
-    ScriptedRule,
     UsageLog,
     WireConfig,
     WirePrm,
@@ -71,47 +73,74 @@ def _section(file_cfg: dict, name: str) -> dict:
     return dict(section)
 
 
-def _coerce(hint, value):
-    """value as a field of type hint: int, float, str, tuple of ints, frozenset of ActionKind names."""
+_JSON_NAMES = {str: "a string", bool: "true or false", type(None): "null"}
+
+
+def _coerce(hint, value, name: str):
+    """value as a parameter of type hint; name labels errors in nested objects.
+
+    JSON values map onto int, float, bool, str and None; a union takes the
+    first arm that fits; a tuple or sequence is a list; a frozenset is a list
+    of ActionKind names; any other class is an object read by _from_section.
+    """
     origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        errors = []
+        for arm in typing.get_args(hint):
+            try:
+                return _coerce(arm, value, name)
+            except (TypeError, ValueError) as exc:
+                errors.append(str(exc))
+        raise ValueError(" or ".join(errors))
     if origin is tuple:
         args = typing.get_args(hint)
         if not isinstance(value, list) or len(value) != len(args):
-            raise ValueError(f"expected a list of {len(args)} numbers")
-        return tuple(arg(v) for arg, v in zip(args, value))
+            raise ValueError(f"expected a list of {len(args)} values")
+        return tuple(_coerce(arg, v, name) for arg, v in zip(args, value))
+    if origin is collections.abc.Sequence:
+        if not isinstance(value, list):
+            raise ValueError("expected a list")
+        (arg,) = typing.get_args(hint)
+        return [_coerce(arg, v, f"{name}[{i}]") for i, v in enumerate(value)]
     if origin is frozenset:
         if not isinstance(value, list):
             raise ValueError("expected a list of action names")
         try:
-            return frozenset(ActionKind[name] for name in value)
+            return frozenset(ActionKind[action] for action in value)
         except KeyError as exc:
             raise ValueError(f"unknown action name {exc.args[0]!r}") from None
-    if hint is str and not isinstance(value, str):
-        raise ValueError("expected a string")
+    if hint in _JSON_NAMES:
+        if not isinstance(value, hint):
+            raise ValueError(f"expected {_JSON_NAMES[hint]}")
+        return value
     if hint is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
-    return hint(value)
+    if hint in (int, float):
+        return hint(value)
+    if not isinstance(value, dict):
+        raise ValueError("expected an object")
+    return _from_section(hint, value, name)
 
 
 def _from_section(cls, section: dict, name: str, **fixed):
-    """Config dataclass cls from a JSON section, each value coerced to its field's type.
+    """cls built from a JSON object, each value coerced to its constructor parameter's type.
 
-    fixed sets fields the section may not. A key that is not a settable field,
-    a value that does not coerce, a missing required field and a value cls
-    rejects are each a ConfigError naming the section.
+    fixed sets parameters the section may not. A key that is not a settable
+    parameter, a value that does not coerce, a missing required parameter and
+    a value cls rejects are each a ConfigError naming the section.
     """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    hints = typing.get_type_hints(cls)
+    params = inspect.signature(cls).parameters
+    hints = typing.get_type_hints(cls.__init__)
     kwargs = dict(fixed)
     for key, value in section.items():
-        if key not in fields or key in fixed:
+        if key not in params or key in fixed:
             raise ConfigError(f"{name}.{key}: unknown key")
         try:
-            kwargs[key] = _coerce(hints[key], value)
+            kwargs[key] = _coerce(hints[key], value, f"{name}.{key}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name}.{key}: {exc}") from exc
-    for key, f in fields.items():
-        if key not in kwargs and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+    for key, param in params.items():
+        if key not in kwargs and param.default is param.empty:
             raise ConfigError(f"{name} config missing {key!r}")
     try:
         return cls(**kwargs)
@@ -135,9 +164,15 @@ def _to_section(cfg, *omit: str) -> dict:
 
 
 def _pick(flag_value, file_cfg: dict, key: str, default):
+    """The flag if set, else the file's value as the default's type (str if None), else default."""
     if flag_value is not None:
         return flag_value
-    return file_cfg.get(key, default)
+    if file_cfg.get(key) is None:
+        return default
+    try:
+        return _coerce(str if default is None else type(default), file_cfg[key], key)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -156,26 +191,10 @@ def _out_dir(args, seed: int, file_cfg: dict) -> Path:
 def build_chat_backend(cfg: dict) -> tuple[object, bool]:
     """(backend, offline) from a gateway config section."""
     kind = cfg.get("backend", "openai")
+    fields = {k: v for k, v in cfg.items() if k != "backend"}
     if kind == "scripted":
-        rules = [
-            ScriptedRule(
-                contains=r["contains"],
-                response=r["response"],
-                fail_times=int(r.get("fail_times", 0)),
-            )
-            for r in cfg.get("rules", [])
-        ]
-        return (
-            ScriptedChatBackend(
-                rules,
-                script=cfg.get("script"),
-                strict=bool(cfg.get("strict", True)),
-                default_response=cfg.get("default_response"),
-            ),
-            True,
-        )
+        return _from_section(ScriptedChatBackend, fields, "gateway"), True
     if kind == "openai":
-        fields = {k: v for k, v in cfg.items() if k != "backend"}
         return OpenAIChatBackend(_from_section(WireConfig, fields, "gateway")), False
     raise ConfigError(f"unknown gateway backend {kind!r}")
 
@@ -183,11 +202,10 @@ def build_chat_backend(cfg: dict) -> tuple[object, bool]:
 def build_prm_backend(cfg: dict) -> tuple[object, bool]:
     """(backend, offline) from a prm config section."""
     kind = cfg.get("backend", "scripted")
+    fields = {k: v for k, v in cfg.items() if k != "backend"}
     if kind == "scripted":
-        rules = [(str(c), float(v)) for c, v in cfg.get("rules", [])]
-        return ScriptedPrm(rules, default=float(cfg.get("default", 0.5))), True
+        return _from_section(ScriptedPrm, fields, "prm"), True
     if kind == "wire":
-        fields = {k: v for k, v in cfg.items() if k != "backend"}
         return WirePrm(_from_section(PrmWireConfig, fields, "prm")), False
     raise ConfigError(f"unknown prm backend {kind!r}")
 
@@ -221,7 +239,7 @@ def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
 
 def cmd_mine_hard(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = int(_pick(args.seed, file_cfg, "seed", 0))
+    seed = _pick(args.seed, file_cfg, "seed", 0)
     dataset_path = _pick(args.dataset, file_cfg, "dataset", None)
     if dataset_path is None:
         raise ConfigError("mine-hard needs --dataset")
@@ -258,7 +276,7 @@ def cmd_mine_hard(args) -> int:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = int(_pick(args.seed, file_cfg, "seed", 0))
+    seed = _pick(args.seed, file_cfg, "seed", 0)
     hard_path = _pick(args.hard_set, file_cfg, "hard_set", None)
     if hard_path is None:
         raise ConfigError("train needs --hard-set")
@@ -319,13 +337,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = int(_pick(args.seed, file_cfg, "seed", 0))
+    seed = _pick(args.seed, file_cfg, "seed", 0)
     dataset_path = _pick(args.dataset, file_cfg, "dataset", None)
     if dataset_path is None:
         raise ConfigError("eval needs --dataset")
     policy_name = _pick(args.policy, file_cfg, "policy", "nav")
     checkpoint_path = _pick(args.checkpoint, file_cfg, "checkpoint", None)
-    trials = int(_pick(args.trials, file_cfg, "trials", 3))
+    trials = _pick(args.trials, file_cfg, "trials", 3)
     out = _out_dir(args, seed, file_cfg)
     gateway_cfg = _gateway_section(args, file_cfg)
     prm_cfg = _section(file_cfg, "prm")
@@ -374,26 +392,26 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seeds = [int(s) for s in _pick(args.seeds, file_cfg, "seeds", "0").split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in _pick(args.seeds, file_cfg, "seeds", "0").split(",") if s != ""]
+    except ValueError as exc:
+        raise ConfigError(f"seeds: {exc}") from exc
     if not seeds:
         raise ConfigError("need at least one seed")
-    states = int(_pick(args.states, file_cfg, "states", 8))
-    sharpness = float(_pick(args.sharpness, file_cfg, "sharpness", 0.7))
-    mdp_seed = int(_pick(args.mdp_seed, file_cfg, "mdp_seed", 0))
-    threshold = float(_pick(args.threshold, file_cfg, "threshold", 0.95))
+    states = _pick(args.states, file_cfg, "states", 8)
+    sharpness = _pick(args.sharpness, file_cfg, "sharpness", 0.7)
+    mdp_seed = _pick(args.mdp_seed, file_cfg, "mdp_seed", 0)
+    threshold = _pick(args.threshold, file_cfg, "threshold", 0.95)
     default_min_pass = len(seeds) - 1 if len(seeds) > 1 else 1
-    min_pass = int(_pick(args.min_pass, file_cfg, "min_pass", default_min_pass))
+    min_pass = _pick(args.min_pass, file_cfg, "min_pass", default_min_pass)
     out = _out_dir(args, seeds[0], file_cfg)
 
     mdp = synthetic.make_scripted(n_states=states, sharpness=sharpness, seed=mdp_seed)
+    trainer_cfgs = [_trainer_config(args, file_cfg, s) for s in seeds]
     results = []
     passed = 0
     out.mkdir(parents=True, exist_ok=True)
-    first_trainer_cfg = None
-    for s in seeds:
-        trainer_cfg = _trainer_config(args, file_cfg, s)
-        if first_trainer_cfg is None:
-            first_trainer_cfg = trainer_cfg
+    for s, trainer_cfg in zip(seeds, trainer_cfgs):
         oracle = synthetic.optimal_return(mdp, trainer_cfg.gamma)
         net, stats = dqn.run_training(synthetic.make_env_factory(mdp), trainer_cfg)
         achieved = synthetic.greedy_return(mdp, net, trainer_cfg.gamma)
@@ -431,7 +449,7 @@ def cmd_synth_train(args) -> int:
         "min_pass": min_pass,
         "seeds": ",".join(str(s) for s in seeds),
         "out_dir": str(out),
-        "trainer": _to_section(first_trainer_cfg, "seed"),
+        "trainer": _to_section(trainer_cfgs[0], "seed"),
     })
     print(f"{passed}/{len(seeds)} seeds passed (need {min_pass}): "
           f"{'PASS' if verdict else 'FAIL'}")

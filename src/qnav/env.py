@@ -2,13 +2,22 @@
 
 A step executes one logic block against the chat backend, appends exactly one
 durable reasoning step, scores the accumulated reasoning with the process
-reward model, and self-evaluates the new context to produce the next state.
+reward model, and, unless the block was Terminate, self-evaluates the new
+context to produce the next state.
+
+Re-prompts: a structured reply that does not parse is asked for once more with
+the same prompt. If the decompose split or the debate plans still do not
+parse, the step raises StepFailureError, which ReasoningEpisode records as
+reward 0 ending the episode. A debate choice that still does not parse falls
+back to plan 1. Self-evaluation re-prompts up to self_eval_retry times, keeps
+the most complete report and defaults the aspects it still lacks to 0.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from . import prompts
 from .answers import extract_answer
@@ -27,13 +36,14 @@ from .gateway import (
     ChatRequest,
     GatewayError,
     PrmBackend,
-    Usage,
     UsageLog,
     score_process,
 )
 from .prompts import MalformedEvaluationError, ParseFailure
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 ALL_BLOCKS = frozenset(ActionKind)
 
@@ -86,7 +96,6 @@ class StepOutcome:
     executed: ActionKind  # differs from action only for Refine remapped at step 0
     appended: str
     transcript: tuple[SubCall, ...]
-    usage: Usage
 
     @property
     def block_calls(self) -> tuple[SubCall, ...]:
@@ -142,16 +151,18 @@ class _Pipeline:
         self.calls.append(SubCall(stage=stage, exchange=exchange))
         return exchange.text
 
-    @property
-    def usage(self) -> Usage:
-        total = Usage()
-        for call in self.calls:
-            total = total + call.exchange.usage
-        return total
+    def ask_parsed(self, stage: str, prompt: str, parse: Callable[[str], T]) -> tuple[str, T]:
+        """(reply, parse(reply)); re-sends the prompt once on ParseFailure, a second one propagates."""
+        text = self.ask(stage, prompt)
+        try:
+            return text, parse(text)
+        except ParseFailure:
+            text = self.ask(stage, prompt)
+            return text, parse(text)
 
 
 def _self_evaluate(pipe: _Pipeline, ctx: ReasoningContext) -> StateVector:
-    """Score the current context; one re-prompt, then defaults with warning."""
+    """Score the current context; up to self_eval_retry re-prompts, then defaults with a warning."""
     best: prompts.SelfEvalReport | None = None
     for _ in range(pipe.cfg.self_eval_retry + 1):
         text = pipe.ask("self_eval", prompts.render_self_eval(ctx))
@@ -180,25 +191,15 @@ def reset(
     return ctx, state, tuple(pipe.calls)
 
 
-def _run_reason_one_step(pipe: _Pipeline, ctx: ReasoningContext) -> str:
-    return pipe.ask("reason_one_step", prompts.render_reason_one_step(ctx))
-
-
-def _run_refine(pipe: _Pipeline, ctx: ReasoningContext) -> str:
-    return pipe.ask("refine", prompts.render_refine(ctx))
-
-
 def _run_decompose(pipe: _Pipeline, ctx: ReasoningContext) -> str:
-    split_prompt = prompts.render_decompose_split(ctx)
-    text = pipe.ask("decompose_split", split_prompt)
     try:
-        subtasks = prompts.parse_subtasks(text, pipe.cfg.subtask_cap)
-    except ParseFailure:
-        text = pipe.ask("decompose_split", split_prompt)
-        try:
-            subtasks = prompts.parse_subtasks(text, pipe.cfg.subtask_cap)
-        except ParseFailure as exc:
-            raise StepFailureError(f"decomposition unparseable after retry: {exc}") from exc
+        _, subtasks = pipe.ask_parsed(
+            "decompose_split",
+            prompts.render_decompose_split(ctx),
+            lambda text: prompts.parse_subtasks(text, pipe.cfg.subtask_cap),
+        )
+    except ParseFailure as exc:
+        raise StepFailureError(f"decomposition unparseable after retry: {exc}") from exc
     results: list[str] = []
     for i in range(1, len(subtasks) + 1):
         prompt = prompts.render_decompose_execute(ctx, subtasks, results, i)
@@ -207,27 +208,19 @@ def _run_decompose(pipe: _Pipeline, ctx: ReasoningContext) -> str:
 
 
 def _run_debate(pipe: _Pipeline, ctx: ReasoningContext) -> str:
-    plans_prompt = prompts.render_debate_plans(ctx)
-    plans_text = pipe.ask("debate_plans", plans_prompt)
     try:
-        plans = prompts.parse_plans(plans_text)
-    except ParseFailure:
-        plans_text = pipe.ask("debate_plans", plans_prompt)
-        try:
-            plans = prompts.parse_plans(plans_text)
-        except ParseFailure as exc:
-            raise StepFailureError(f"debate plans unparseable after retry: {exc}") from exc
-    choice_prompt = prompts.render_debate_choice(ctx, plans_text)
-    choice_text = pipe.ask("debate_choice", choice_prompt)
+        plans_text, plans = pipe.ask_parsed("debate_plans", prompts.render_debate_plans(ctx), prompts.parse_plans)
+    except ParseFailure as exc:
+        raise StepFailureError(f"debate plans unparseable after retry: {exc}") from exc
     try:
-        index = prompts.parse_plan_choice(choice_text, n_plans=len(plans))
+        _, index = pipe.ask_parsed(
+            "debate_choice",
+            prompts.render_debate_choice(ctx, plans_text),
+            lambda text: prompts.parse_plan_choice(text, n_plans=len(plans)),
+        )
     except ParseFailure:
-        choice_text = pipe.ask("debate_choice", choice_prompt)
-        try:
-            index = prompts.parse_plan_choice(choice_text, n_plans=len(plans))
-        except ParseFailure:
-            log.warning("plan choice unparseable after retry; falling back to plan 1")
-            index = 1
+        log.warning("plan choice unparseable after retry; falling back to plan 1")
+        index = 1
     return pipe.ask("debate_execute", prompts.render_debate_execute(ctx, plans[index - 1]))
 
 
@@ -253,47 +246,32 @@ def step(
             raise IllegalActionError(f"{action.name} not legal here (legal: {sorted(a.name for a in legal)})")
 
     pipe = _Pipeline(chat, cfg)
-    if executed is ActionKind.TERMINATE:
-        text = pipe.ask("terminate", prompts.render_terminate(ctx))
-        new_ctx = ctx.with_step(text, answer_present=True)
-        reward = score_process(prm, ctx.problem, render_reasoning(new_ctx))
-        return StepOutcome(
-            ctx=new_ctx,
-            state=state,  # no re-evaluation after the terminal step
-            reward=reward,
-            done=True,
-            action=action,
-            executed=executed,
-            appended=text,
-            transcript=tuple(pipe.calls),
-            usage=pipe.usage,
-        )
+    match executed:
+        case ActionKind.REASON_ONE_STEP:
+            text = pipe.ask("reason_one_step", prompts.render_reason_one_step(ctx))
+        case ActionKind.DECOMPOSE:
+            text = _run_decompose(pipe, ctx)
+        case ActionKind.DEBATE:
+            text = _run_debate(pipe, ctx)
+        case ActionKind.REFINE:
+            text = pipe.ask("refine", prompts.render_refine(ctx))
+        case ActionKind.TERMINATE:
+            text = pipe.ask("terminate", prompts.render_terminate(ctx))
 
-    if executed is ActionKind.REASON_ONE_STEP:
-        text = _run_reason_one_step(pipe, ctx)
-    elif executed is ActionKind.DECOMPOSE:
-        text = _run_decompose(pipe, ctx)
-    elif executed is ActionKind.DEBATE:
-        text = _run_debate(pipe, ctx)
-    elif executed is ActionKind.REFINE:
-        text = _run_refine(pipe, ctx)
-    else:  # pragma: no cover - enum is closed
-        raise IllegalActionError(f"unknown action {action!r}")
-
-    answer_present = extract_answer(text, ctx.dataset_kind) is not None
+    done = executed is ActionKind.TERMINATE
+    answer_present = done or extract_answer(text, ctx.dataset_kind) is not None
     new_ctx = ctx.with_step(text, answer_present=answer_present)
     reward = score_process(prm, ctx.problem, render_reasoning(new_ctx))
-    next_state = _self_evaluate(pipe, new_ctx)
+    next_state = state if done else _self_evaluate(pipe, new_ctx)
     return StepOutcome(
         ctx=new_ctx,
         state=next_state,
         reward=reward,
-        done=False,
+        done=done,
         action=action,
         executed=executed,
         appended=text,
         transcript=tuple(pipe.calls),
-        usage=pipe.usage,
     )
 
 

@@ -202,13 +202,15 @@ class OpenAIChatBackend:
             text = doc["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError("content is not a string")
-        except (KeyError, IndexError, TypeError) as exc:
+            usage_doc = doc.get("usage") or {}
+            if not isinstance(usage_doc, dict):
+                raise TypeError("usage is not an object")
+            usage = Usage(
+                input_tokens=int(usage_doc.get("prompt_tokens", 0)),
+                output_tokens=int(usage_doc.get("completion_tokens", 0)),
+            )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GatewayProtocolError(f"malformed completion payload: {exc}") from exc
-        usage_doc = doc.get("usage") or {}
-        usage = Usage(
-            input_tokens=int(usage_doc.get("prompt_tokens", 0)),
-            output_tokens=int(usage_doc.get("completion_tokens", 0)),
-        )
         if not usage_doc:
             log.warning("completion response carried no usage block")
         return ChatExchange(request=request, text=text, usage=usage, latency_s=latency, attempts=attempts)
@@ -226,7 +228,7 @@ class ScriptedRule:
     contains: str
     response: str | Sequence[str]
     fail_times: int = 0
-    _cursor: int = field(default=0, repr=False)
+    _cursor: int = field(default=0, init=False, repr=False)
 
     def next_response(self) -> str:
         if isinstance(self.response, str):

@@ -265,6 +265,15 @@ class TestConfigHandling:
                               "max_attempts": "x"}}, "prm.max_attempts", id="prm.max_attempts"),
         pytest.param({"prm": {"backend": "wire", "base_url": "http://localhost:9", "backoff_base_s": 0.0,
                               "max_attempts": 1, "retries": 2}}, "prm.retries", id="prm.retries"),
+        pytest.param({"prm": {"backend": "scripted", "defualt": 0.9}}, "prm.defualt", id="prm.defualt"),
+        pytest.param({"prm": {"backend": "scripted", "rules": [["a"]]}}, "prm.rules", id="prm.rules"),
+        pytest.param({"prm": {"backend": "scripted", "default": "high"}}, "prm.default", id="prm.default"),
+        pytest.param({"gateway": {"backend": "scripted", "rules": [{"response": "x"}]}}, "gateway.rules",
+                     id="gateway.rules"),
+        pytest.param({"gateway": {"backend": "scripted", "rules": [{"contains": "a", "response": 5}]}},
+                     "gateway.rules[0].response", id="gateway.rules.response"),
+        pytest.param({"gateway": {"backend": "scripted", "rulez": []}}, "gateway.rulez", id="gateway.rulez"),
+        pytest.param({"gateway": {"backend": "scripted", "strict": "no"}}, "gateway.strict", id="gateway.strict"),
     ])
     def test_bad_section_value_is_a_config_error(self, tmp_path, capsys, sections, names):
         cfg = write_config(tmp_path, scripted_config(**sections))
@@ -274,6 +283,26 @@ class TestConfigHandling:
         )
         assert code == cli.EXIT_CONFIG
         assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, top, key", [
+        ("eval", {"trials": "abc"}, "trials"),
+        ("eval", {"seed": "x"}, "seed"),
+        ("train", {"seed": 1.5}, "seed"),
+        ("synth-train", {"seeds": [0, 1]}, "seeds"),
+        ("synth-train", {"seeds": "0,x"}, "seeds"),
+        ("synth-train", {"sharpness": "steep"}, "sharpness"),
+    ], ids=["trials", "seed-string", "seed-fraction", "seeds-list", "seeds-item", "sharpness"])
+    def test_bad_top_level_value_is_a_config_error(self, tmp_path, capsys, command, top, key):
+        cfg = write_config(tmp_path, scripted_config(**top))
+        data = write_dataset(tmp_path, [numeric_question("q", "7")])
+        inputs = {
+            "eval": ["--dataset", data, "--policy", "fixed-sequence"],
+            "train": ["--hard-set", data, "--episodes", "1"],
+            "synth-train": ["--episodes", "1"],
+        }[command]
+        code = cli.main([command, "--config", cfg, *inputs, "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"{key}: " in capsys.readouterr().err
 
     def test_unknown_enabled_block_name(self, tmp_path, capsys):
         doc = scripted_config(

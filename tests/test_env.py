@@ -1,5 +1,8 @@
 """Reasoning environment tests: masking, block pipelines, rewards, episodes."""
 
+import hashlib
+import json
+
 import pytest
 
 from qnav.core import ActionKind, DatasetKind, EpisodeFailure, StateVector
@@ -19,7 +22,7 @@ from qnav.env import (
 from qnav.gateway import ScriptedChatBackend, ScriptedPrm, ScriptedRule, UsageLog
 from qnav.prompts import MalformedEvaluationError
 
-from conftest import EVAL_RESPONSE, PLANS_RESPONSE, standard_rules
+from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -280,6 +283,39 @@ class TestDebate:
         execute = out.block_calls[-1].exchange.request.prompt
         assert "Add the numbers directly." in execute
 
+    def test_plans_retry_recovers(self, prm):
+        rules = list(standard_rules())
+        rules[5] = ScriptedRule(
+            "propose three different alternative plans", ["plan stuff, unformatted", PLANS_RESPONSE]
+        )
+        chat = ScriptedChatBackend(rules)
+        ctx, state, _ = make_ctx(chat)
+        out = step(ctx, state, DEB, chat, prm)
+        assert [c.stage for c in out.block_calls] == [
+            "debate_plans",
+            "debate_plans",
+            "debate_choice",
+            "debate_execute",
+        ]
+        choice = out.block_calls[2].exchange.request.prompt
+        assert PLANS_RESPONSE in choice
+        assert "unformatted" not in choice
+
+    def test_choice_retry_recovers(self, prm):
+        rules = list(standard_rules())
+        rules[6] = ScriptedRule(
+            "tell which one is most promising",
+            ["The most promising plan is Plan7.", "The most promising plan is Plan3: it is visual."],
+        )
+        chat = ScriptedChatBackend(rules)
+        ctx, state, _ = make_ctx(chat)
+        out = step(ctx, state, DEB, chat, prm)
+        stages = [c.stage for c in out.block_calls]
+        assert stages == ["debate_plans", "debate_choice", "debate_choice", "debate_execute"]
+        execute = out.block_calls[-1].exchange.request.prompt
+        assert "Use a number line." in execute
+        assert "Add the numbers directly." not in execute
+
     def test_unparseable_plans_fail_the_step(self, prm):
         rules = list(standard_rules())
         rules[5] = ScriptedRule(
@@ -445,3 +481,83 @@ class TestReasoningEpisode:
         assert ep.transitions == []
         assert ep.final_text is None
         assert ep.final_answer is None
+
+
+class TestGoldenTranscript:
+    """Every prompt, reply, reward and state of scripted episodes that take
+    each block and each re-prompt ending: recovered, failed, and fallback."""
+
+    PRM = ScriptedPrm([("Counting", 0.8), ("sum of 3 and 4", 0.6), ("answer is 7", 0.9)], default=0.3)
+
+    def run(self, rules, actions):
+        chat = ScriptedChatBackend(rules)
+        ctx, state, calls = reset("What is 3 + 4?", NUM, chat)
+        records = [["reset", [self.call(c) for c in calls], list(state.scores)]]
+        for action in actions:
+            try:
+                out = step(ctx, state, action, chat, self.PRM)
+            except StepFailureError as exc:
+                records.append([action.name, "failed", str(exc)])
+                break
+            records.append([
+                action.name,
+                out.executed.name,
+                [self.call(c) for c in out.transcript],
+                out.reward,
+                list(out.state.scores),
+                out.done,
+                out.appended,
+            ])
+            ctx, state = out.ctx, out.state
+        records.append(["chat_log", [[e.request.prompt, e.text] for e in chat.call_log]])
+        return records
+
+    @staticmethod
+    def call(sub):
+        return [sub.stage, sub.exchange.request.prompt, sub.exchange.text]
+
+    def test_scripted_transcript_is_pinned(self):
+        rules = list(standard_rules())
+        rules[0] = ScriptedRule(
+            "Please evaluate the current step",
+            ["hmm.", EVAL_RESPONSE, "A1 score=1 only one", EVAL_RESPONSE.replace("score=2", "score=1")],
+        )
+        rules[2] = ScriptedRule(
+            "Please decompose the current task into subtasks", ["no markers here", SUBTASKS_RESPONSE]
+        )
+        rules[5] = ScriptedRule(
+            "propose three different alternative plans", ["plan stuff, unformatted", PLANS_RESPONSE]
+        )
+        rules[6] = ScriptedRule(
+            "tell which one is most promising",
+            [
+                "The most promising plan is Plan7.",
+                "The most promising plan is Plan3: it is visual.",
+                "They all seem fine.",
+            ],
+        )
+        every_block = self.run(rules, [REF, DEC, DEB, DEB, T])
+
+        rules = list(standard_rules())
+        rules[2] = ScriptedRule("Please decompose the current task into subtasks", "I would rather not.")
+        failed_split = self.run(rules, [R, DEC])
+
+        rules = list(standard_rules())
+        rules[5] = ScriptedRule("propose three different alternative plans", "plan stuff, unformatted")
+        failed_plans = self.run(rules, [DEB])
+
+        stages = [[c[0] for c in rec[2]] for rec in every_block[1:-1]]
+        assert stages == [
+            ["reason_one_step", "self_eval", "self_eval"],
+            ["decompose_split", "decompose_split", "decompose_execute", "decompose_execute",
+             "decompose_summary", "self_eval"],
+            ["debate_plans", "debate_plans", "debate_choice", "debate_choice", "debate_execute", "self_eval"],
+            ["debate_plans", "debate_choice", "debate_choice", "debate_execute", "self_eval"],
+            ["terminate"],
+        ]
+        assert failed_split[2][1] == failed_plans[1][1] == "failed"
+        # Any change to a prompt, the call order, a reward or a re-prompt ending shows up here.
+        doc = json.dumps([every_block, failed_split, failed_plans], sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(doc).hexdigest() == (
+            "0bba07ec1627da1c882f955e9aed309b98367710e1a3a5a7dfc41032d1573237"
+        )

@@ -259,6 +259,17 @@ class TestOpenAIChatBackend(WireTransportCases):
         with pytest.raises(GatewayProtocolError):
             backend.complete(ChatRequest("hi"))
 
+    @pytest.mark.parametrize("usage", [
+        {"prompt_tokens": "x"},
+        ["a"],
+        {"completion_tokens": [5]},
+    ], ids=["non-numeric", "list", "list-count"])
+    def test_malformed_usage_block_is_protocol_error(self, usage):
+        payload = {"choices": [{"message": {"content": "x"}}], "usage": usage}
+        backend, _ = self.make([FakeResponse(200, payload)])
+        with pytest.raises(GatewayProtocolError):
+            backend.complete(ChatRequest("hi"))
+
     def test_missing_usage_block_defaults_to_zero(self):
         payload = {"choices": [{"message": {"content": "x"}}]}
         backend, _ = self.make([FakeResponse(200, payload)])
