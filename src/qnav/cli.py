@@ -399,7 +399,11 @@ def cmd_synth_train(args) -> int:
     if not seeds:
         raise ConfigError("need at least one seed")
     states = _pick(args.states, file_cfg, "states", 8)
+    if states < 2:
+        raise ConfigError(f"states: need at least two, got {states}")
     sharpness = _pick(args.sharpness, file_cfg, "sharpness", 0.7)
+    if not 0.0 <= sharpness <= 1.0:
+        raise ConfigError(f"sharpness: must lie in [0, 1], got {sharpness}")
     mdp_seed = _pick(args.mdp_seed, file_cfg, "mdp_seed", 0)
     threshold = _pick(args.threshold, file_cfg, "threshold", 0.95)
     default_min_pass = len(seeds) - 1 if len(seeds) > 1 else 1

@@ -3,6 +3,8 @@
 Datasets are JSONL files, one record per line with fields id, question,
 answer, kind. Mining keeps the questions a direct prompt gets wrong;
 evaluation runs several independent trajectories per question and votes.
+Both run their independent calls or episodes on up to chat.max_in_flight
+threads and assemble the results in dataset order.
 """
 
 from __future__ import annotations
@@ -10,20 +12,25 @@ from __future__ import annotations
 import json
 import logging
 import random
+import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 
 from .answers import VoteResult, answers_equivalent, extract_answer, majority_vote
 from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, Trajectory, encode_state
 from .dqn import masked_argmax
 from .env import EnvConfig, ReasoningEpisode
-from .gateway import ChatBackend, ChatRequest, GatewayError, PrmBackend, Usage, UsageLog
+from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayError, PrmBackend, Usage, UsageLog
 from .net import DuelingNet
 from .prompts import render_mining
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 DATASET_FIELDS = ("id", "question", "answer", "kind")
 
@@ -84,6 +91,42 @@ def save_dataset(records: Sequence[QuestionRecord], path: str | Path) -> None:
             )
 
 
+# -- concurrency ---------------------------------------------------------------
+
+
+def _map_in_order(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+    """fn over items on up to `workers` threads; the results in item order.
+
+    With one worker every call runs on the calling thread, in order. If a
+    call raises, or the caller is interrupted (Ctrl-C), no further call
+    starts, the queued ones are cancelled, the running ones finish, and the
+    exception of the earliest failed item propagates unchanged.
+    """
+    if workers <= 1:
+        return [fn(item) for item in items]
+    stop = threading.Event()
+
+    def job(item: T) -> R | None:
+        if stop.is_set():
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(job, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+    # Jobs start in item order, so every skipped or cancelled one comes
+    # after the failure that stopped the pool.
+    return [f.result() for f in futures]
+
+
 # -- mining --------------------------------------------------------------------
 
 
@@ -108,14 +151,18 @@ def mine_hard(
     usage_log: UsageLog | None = None,
 ) -> MiningResult:
     """Keep the questions whose directly-prompted answer is wrong or missing."""
-    hard: list[QuestionRecord] = []
-    undetermined: list[str] = []
-    for record in dataset:
-        prompt = render_mining(record.question, record.kind)
+
+    def ask(record: QuestionRecord) -> ChatExchange | None:
         try:
-            exchange = chat.complete(ChatRequest(prompt=prompt))
+            return chat.complete(ChatRequest(prompt=render_mining(record.question, record.kind)))
         except GatewayError as exc:
             log.warning("question %s undetermined: %s", record.id, exc)
+            return None
+
+    hard: list[QuestionRecord] = []
+    undetermined: list[str] = []
+    for record, exchange in zip(dataset, _map_in_order(ask, dataset, chat.max_in_flight)):
+        if exchange is None:
             undetermined.append(record.id)
             continue
         if usage_log is not None:
@@ -132,6 +179,10 @@ def mine_hard(
 class Policy(Protocol):
     def select(self, state: StateVector, legal: Sequence[ActionKind], actions_taken: int) -> ActionKind: ...
 
+    def for_trial(self, question_index: int, trial: int) -> "Policy":
+        """The policy that drives one eval trial; trials may run concurrently."""
+        ...
+
 
 class NavigatorPolicy:
     """Greedy over the trained net's Q-values, masked to the legal set."""
@@ -141,6 +192,9 @@ class NavigatorPolicy:
 
     def select(self, state: StateVector, legal: Sequence[ActionKind], actions_taken: int) -> ActionKind:
         return masked_argmax(self.net.forward(encode_state(state)), legal)
+
+    def for_trial(self, question_index: int, trial: int) -> "NavigatorPolicy":
+        return self
 
 
 class FixedSequencePolicy:
@@ -152,16 +206,26 @@ class FixedSequencePolicy:
         wanted = self.SCRIPT[actions_taken] if actions_taken < len(self.SCRIPT) else ActionKind.TERMINATE
         return wanted if wanted in legal else ActionKind.TERMINATE
 
+    def for_trial(self, question_index: int, trial: int) -> "FixedSequencePolicy":
+        return self
+
 
 class RandomPolicy:
     """Uniform over the legal set, seeded."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int | str = 0):
+        self.seed = seed
         self.rng = random.Random(seed)
 
     def select(self, state: StateVector, legal: Sequence[ActionKind], actions_taken: int) -> ActionKind:
         ordered = sorted(legal, key=int)
         return ordered[self.rng.randrange(len(ordered))]
+
+    def for_trial(self, question_index: int, trial: int) -> "RandomPolicy":
+        # random.Random hashes a str seed with SHA-512, so a trial's draws
+        # depend on (seed, question index, trial) only: not on thread order
+        # and not on PYTHONHASHSEED.
+        return RandomPolicy(f"{self.seed}:{question_index}:{trial}")
 
 
 def run_episode(episode: ReasoningEpisode, policy: Policy) -> Trajectory:
@@ -187,6 +251,13 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be positive")
+
+
+class _TrialOutcome(NamedTuple):
+    started: float  # time.monotonic() at the trial's start
+    ended: float
+    answer: str | None  # None when the episode failed or extracted nothing
+    actions: tuple[str, ...]  # action names; empty when the episode failed
 
 
 @dataclass(frozen=True)
@@ -250,35 +321,43 @@ def evaluate(
 ) -> RunReport:
     """Run trials per question, vote over extracted answers, score accuracy.
 
-    offline=True zeroes wall times so fully scripted runs produce
-    byte-identical reports.
+    The (question, trial) episodes run on up to chat.max_in_flight threads,
+    each under policy.for_trial(question index, trial). A question's
+    wall_time_s runs from its first trial's start to its last trial's end;
+    offline=True zeroes it so fully scripted runs produce byte-identical
+    reports.
     """
     usage_log = UsageLog()
+
+    def run_trial(job: tuple[int, int]) -> _TrialOutcome:
+        index, trial = job
+        record = dataset[index]
+        started = time.monotonic()
+        episode = ReasoningEpisode(
+            problem=record.question,
+            kind=record.kind,
+            chat=chat,
+            prm=prm,
+            cfg=cfg.env,
+            question_id=record.id,
+            usage_log=usage_log,
+        )
+        try:
+            trajectory = run_episode(episode, policy.for_trial(index, trial))
+        except EpisodeFailure as exc:
+            log.warning("question %s trial %d failed: %s", record.id, trial, exc)
+            return _TrialOutcome(started, time.monotonic(), None, ())
+        actions = tuple(t.action.name for t in trajectory.transitions)
+        return _TrialOutcome(started, time.monotonic(), trajectory.final_answer, actions)
+
+    jobs = [(index, trial) for index in range(len(dataset)) for trial in range(cfg.trials)]
+    outcomes = _map_in_order(run_trial, jobs, chat.max_in_flight)
     results: list[QuestionResult] = []
     n_correct = 0
     for index, record in enumerate(dataset):
-        started = time.monotonic()
-        answers: list[str | None] = []
-        action_names: list[tuple[str, ...]] = []
-        for trial in range(cfg.trials):
-            episode = ReasoningEpisode(
-                problem=record.question,
-                kind=record.kind,
-                chat=chat,
-                prm=prm,
-                cfg=cfg.env,
-                question_id=record.id,
-                usage_log=usage_log,
-            )
-            try:
-                trajectory = run_episode(episode, policy)
-            except EpisodeFailure as exc:
-                log.warning("question %s trial %d failed: %s", record.id, trial, exc)
-                answers.append(None)
-                action_names.append(())
-                continue
-            answers.append(trajectory.final_answer)
-            action_names.append(tuple(t.action.name for t in trajectory.transitions))
+        trials = outcomes[index * cfg.trials:(index + 1) * cfg.trials]
+        answers = [t.answer for t in trials]
+        action_names = [t.actions for t in trials]
         voted: VoteResult | None = None
         usable = [a for a in answers if a is not None]
         if usable:
@@ -297,6 +376,7 @@ def evaluate(
                     winning_actions = acts
                     break
         q_usage = usage_log.totals_for(record.id)
+        wall_time_s = max(t.ended for t in trials) - min(t.started for t in trials)
         results.append(
             QuestionResult(
                 question_id=record.id,
@@ -307,7 +387,7 @@ def evaluate(
                 tie_broken=voted.tie_broken if voted is not None else False,
                 input_tokens=q_usage.input_tokens,
                 output_tokens=q_usage.output_tokens,
-                wall_time_s=0.0 if offline else time.monotonic() - started,
+                wall_time_s=0.0 if offline else wall_time_s,
             )
         )
     return RunReport(

@@ -83,6 +83,10 @@ class ChatExchange:
 
 
 class ChatBackend(Protocol):
+    # How many complete() calls may run at once; evaluate and mine_hard size
+    # their worker pools from it.
+    max_in_flight: int
+
     def complete(self, request: ChatRequest) -> ChatExchange: ...
 
 
@@ -180,6 +184,7 @@ class OpenAIChatBackend:
     def __init__(self, cfg: WireConfig, session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         self.cfg = cfg
+        self.max_in_flight = cfg.max_in_flight
         self._session = session or requests.Session()
         self._sleep = sleep
         self._slots = threading.BoundedSemaphore(cfg.max_in_flight)
@@ -221,8 +226,12 @@ class ScriptedRule:
     """Substring matcher -> canned response(s).
 
     response may be a single string or a sequence consumed call by call (the
-    last entry repeats once exhausted). fail_times injects that many
-    transient failures before the rule answers, for retry testing.
+    last entry repeats once exhausted). fail_times makes the rule raise
+    GatewayTransientError that many times before it answers. Nothing retries
+    a scripted backend in a CLI run: each injected failure aborts its eval
+    or train episode with an EpisodeFailure, or leaves a mined question
+    undetermined. Only code that wraps complete() in call_with_retries
+    sees a retry.
     """
 
     contains: str
@@ -252,7 +261,13 @@ class ScriptedChatBackend:
     and running out raises. Otherwise the first matching rule answers; in
     strict mode an unmatched prompt raises, else default_response is used.
     Every exchange is appended to call_log.
+
+    The script, response sequences and fail_times are consumed in call order,
+    so max_in_flight is 1: evaluate and mine_hard call a scripted backend one
+    call at a time, and offline runs stay byte-identical.
     """
+
+    max_in_flight = 1
 
     def __init__(
         self,

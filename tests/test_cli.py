@@ -291,7 +291,10 @@ class TestConfigHandling:
         ("synth-train", {"seeds": [0, 1]}, "seeds"),
         ("synth-train", {"seeds": "0,x"}, "seeds"),
         ("synth-train", {"sharpness": "steep"}, "sharpness"),
-    ], ids=["trials", "seed-string", "seed-fraction", "seeds-list", "seeds-item", "sharpness"])
+        ("synth-train", {"states": 0}, "states"),
+        ("synth-train", {"sharpness": 5}, "sharpness"),
+    ], ids=["trials", "seed-string", "seed-fraction", "seeds-list", "seeds-item", "sharpness",
+            "states-range", "sharpness-range"])
     def test_bad_top_level_value_is_a_config_error(self, tmp_path, capsys, command, top, key):
         cfg = write_config(tmp_path, scripted_config(**top))
         data = write_dataset(tmp_path, [numeric_question("q", "7")])

@@ -2,9 +2,15 @@
 
 import json
 import random
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from qnav import evalkit
 from qnav.core import ActionKind, DatasetKind, StateVector, encode_state
 from qnav.dqn import masked_argmax
 from qnav.env import EnvConfig, ReasoningEpisode
@@ -22,7 +28,14 @@ from qnav.evalkit import (
     run_episode,
     save_dataset,
 )
-from qnav.gateway import ScriptedChatBackend, ScriptedPrm, ScriptedRule, UsageLog
+from qnav.gateway import (
+    OpenAIChatBackend,
+    ScriptedChatBackend,
+    ScriptedPrm,
+    ScriptedRule,
+    UsageLog,
+    WireConfig,
+)
 from qnav.net import DuelingNet
 
 from conftest import standard_rules
@@ -176,6 +189,26 @@ class TestPolicies:
         assert a == b
         assert set(a) <= set(legal)
         assert len(set(a)) > 1
+
+    def test_random_policy_trials_are_seeded_by_seed_question_and_trial(self):
+        legal = sorted(ActionKind, key=int)
+
+        def draws(policy):
+            return [policy.select(None, legal, 0) for _ in range(20)]
+
+        trial = draws(RandomPolicy(7).for_trial(2, 1))
+        # a str seed is hashed with SHA-512: the same draws in every process
+        rng = random.Random("7:2:1")
+        assert trial == [legal[rng.randrange(len(legal))] for _ in range(20)]
+        assert draws(RandomPolicy(7).for_trial(2, 0)) != trial
+        assert draws(RandomPolicy(7).for_trial(1, 2)) != trial
+        assert draws(RandomPolicy(8).for_trial(2, 1)) != trial
+
+    def test_deterministic_policies_serve_every_trial_themselves(self):
+        nav = NavigatorPolicy(DuelingNet.initialize(0, (6, 5)))
+        fixed = FixedSequencePolicy()
+        assert nav.for_trial(3, 2) is nav
+        assert fixed.for_trial(3, 2) is fixed
 
     def test_navigator_policy_matches_masked_argmax(self):
         net = DuelingNet.initialize(0, (6, 5))
@@ -345,3 +378,201 @@ class TestEvaluate:
             "output_tokens",
             "wall_time_s",
         }
+
+
+class PooledScriptedChat(ScriptedChatBackend):
+    """Static scripted rules answer the same in any call order, so this
+    backend allows max_in_flight calls at once. Each call sleeps briefly so
+    concurrent trials interleave; peak records the most calls seen at once."""
+
+    def __init__(self, rules, max_in_flight=4):
+        super().__init__(rules)
+        self.max_in_flight = max_in_flight
+        self.active = 0
+        self.peak = 0
+        self._count = threading.Lock()
+
+    def complete(self, request):
+        with self._count:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.001)
+            return super().complete(request)
+        finally:
+            with self._count:
+                self.active -= 1
+
+
+def yes_no_unanswerable_rules():
+    """standard_rules without the yes/no endings: a yes/no trial fails at Terminate."""
+    return [r for r in standard_rules() if "YES/NO" not in r.contains and "answer is yes" not in r.contains]
+
+
+CONCURRENT_DATASET = (
+    record("c1", "What is 3 + 4?", "7"),
+    record("c2", "What is 3 + 4? Choices: (A) 6 (B) 7 (C) 8.", "B", DatasetKind.MULTIPLE_CHOICE),
+    record("c3", "Is 3 + 4 equal to 7?", "yes", DatasetKind.YES_NO),
+    record("c4", "Box the value of 3 + 4.", "7", DatasetKind.MATH_BOXED),
+    record("c5", "What is 3 + 5?", "8"),
+)
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads far more often than usual, so a lost update between
+    concurrent trials (say, in the shared usage log) would show."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+class TestConcurrentEvalAndMining:
+    @pytest.mark.parametrize("make_policy", [
+        lambda: NavigatorPolicy(DuelingNet.initialize(3, (6, 5))),
+        FixedSequencePolicy,
+        lambda: RandomPolicy(5),
+    ], ids=["nav", "fixed-sequence", "random"])
+    def test_report_is_byte_identical_at_one_and_four_workers(self, make_policy, fast_thread_switching):
+        payloads = []
+        for workers in (1, 4):
+            chat = PooledScriptedChat(yes_no_unanswerable_rules(), max_in_flight=workers)
+            report = evaluate(
+                make_policy(), CONCURRENT_DATASET, chat, ScriptedPrm(), EvalConfig(trials=3, seed=2), offline=True
+            )
+            assert (chat.peak == 1) if workers == 1 else (chat.peak > 1)
+            payloads.append(json.dumps(report.to_jsonable(), indent=2, sort_keys=True))
+        assert payloads[0] == payloads[1]
+        doc = json.loads(payloads[0])
+        assert [q["id"] for q in doc["questions"]] == [r.id for r in CONCURRENT_DATASET]
+        assert doc["questions"][2]["trial_answers"] == [None, None, None]
+
+    def test_mining_result_is_identical_at_one_and_four_workers(self, fast_thread_switching):
+        dataset = [record(f"m{i}", f"What is {i} + {i}?", str(2 * i)) for i in range(12)]
+        # m1, m5, m9 match no rule (undetermined); m3 and m6 get a wrong answer
+        wrong = {3, 6}
+        rules = [
+            ScriptedRule(f"What is {i} + {i}?", f"The answer is {2 * i + (i in wrong)}.")
+            for i in range(12)
+            if i % 4 != 1
+        ]
+        results = []
+        for workers in (1, 4):
+            chat = PooledScriptedChat(rules, max_in_flight=workers)
+            logbook = UsageLog()
+            results.append((mine_hard(dataset, chat, usage_log=logbook), logbook.totals()))
+            assert (chat.peak == 1) if workers == 1 else (chat.peak > 1)
+        assert results[0] == results[1]
+        mined = results[0][0]
+        assert mined.undetermined == ("m1", "m5", "m9")
+        assert [r.id for r in mined.hard] == ["m3", "m6"]
+
+    def crashing_trial_setup(self, crash):
+        """Four workers, four questions of three trials. The first four
+        trials meet at a barrier, so all four have started before trial
+        (1, 0) calls crash(); the other three keep running for 0.3 s more.
+        started lists the trials that began."""
+        ready = threading.Barrier(4, timeout=10)
+        started = []
+
+        class CrashingPolicy(FixedSequencePolicy):
+            def for_trial(self, question_index, trial):
+                started.append((question_index, trial))
+                if (question_index, trial) < (1, 1):
+                    ready.wait()
+                    if (question_index, trial) == (1, 0):
+                        crash()
+                    else:
+                        time.sleep(0.3)
+                return self
+
+        dataset = [record(f"q{i}", f"What is 3 + 4? ({i})", "7") for i in range(4)]
+        chat = PooledScriptedChat(standard_rules(), max_in_flight=4)
+        return CrashingPolicy(), dataset, chat, started
+
+    def test_unexpected_error_propagates_and_no_queued_trial_starts(self, monkeypatch):
+        error = RuntimeError("navigator crashed")
+
+        def crash():
+            raise error
+
+        def slow_wait(*args, **kwargs):
+            # a caller slow to react (a loaded host) gives the crashed
+            # trial's worker time to pick up the next queued trial
+            done = real_wait(*args, **kwargs)
+            time.sleep(0.05)
+            return done
+
+        real_wait = evalkit.wait
+        monkeypatch.setattr(evalkit, "wait", slow_wait)
+        policy, dataset, chat, started = self.crashing_trial_setup(crash)
+        with pytest.raises(RuntimeError) as excinfo:
+            evaluate(policy, dataset, chat, ScriptedPrm(), EvalConfig(trials=3), offline=True)
+        assert excinfo.value is error
+        assert sorted(started) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+        assert chat.active == 0  # the trials already running finished first
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_ctrl_c_propagates_and_no_queued_trial_starts(self):
+        def ctrl_c():
+            time.sleep(0.05)  # the caller has queued every trial and waits
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        policy, dataset, chat, started = self.crashing_trial_setup(ctrl_c)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                evaluate(policy, dataset, chat, ScriptedPrm(), EvalConfig(trials=3), offline=True)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert sorted(started) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+        assert chat.active == 0
+
+
+class _Reply:
+    status_code = 200
+    text = ""
+
+    def json(self):
+        return {
+            "choices": [{"message": {"content": "The answer is 2."}}],
+            "usage": {"prompt_tokens": 3, "completion_tokens": 4},
+        }
+
+
+class RendezvousSession:
+    """Stands in for requests.Session: POSTs block until `slots` of them are
+    in flight at once, then return together; peak is the most seen at once."""
+
+    def __init__(self, slots):
+        self.meet = threading.Barrier(slots, timeout=10)
+        self.active = 0
+        self.peak = 0
+        self._count = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._count:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            self.meet.wait()
+        finally:
+            with self._count:
+                self.active -= 1
+        return _Reply()
+
+
+def test_wire_backend_never_exceeds_its_in_flight_cap_under_mining():
+    # Two mining runs share one backend: four pool threads compete for two slots.
+    session = RendezvousSession(slots=2)
+    chat = OpenAIChatBackend(
+        WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
+    )
+    runs = [[record(f"{tag}{i}", f"What is 1 + 1? ({tag}{i})", "2") for i in range(6)] for tag in "ab"]
+    with ThreadPoolExecutor(max_workers=2) as outer:
+        results = [f.result(timeout=30) for f in [outer.submit(mine_hard, run, chat) for run in runs]]
+    assert session.peak == 2
+    assert all(r.hard == () and r.undetermined == () for r in results)

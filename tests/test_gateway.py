@@ -108,6 +108,10 @@ class TestScriptedBackend:
             "prompt 2",
         ]
 
+    def test_runs_one_call_at_a_time(self):
+        # script, response sequences and fail_times are consumed in call order
+        assert ScriptedChatBackend().max_in_flight == 1
+
     def test_fail_times_injects_transient_failures(self):
         backend = ScriptedChatBackend([ScriptedRule("x", "done", fail_times=2)])
         with pytest.raises(GatewayTransientError):
@@ -234,6 +238,10 @@ class TestOpenAIChatBackend(WireTransportCases):
 
     def call(self, backend):
         return float(backend.complete(ChatRequest("hi")).text)
+
+    def test_in_flight_cap_comes_from_config(self):
+        backend, _ = self.make([], max_in_flight=3)
+        assert backend.max_in_flight == 3
 
     def test_parses_completion_and_usage(self):
         backend, session = self.make([FakeResponse(200, completion_payload("out"))])
