@@ -175,6 +175,13 @@ def _pick(flag_value, file_cfg: dict, key: str, default):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _check_seed(seed: int, key: str) -> int:
+    # numpy.random.default_rng rejects negative seeds.
+    if seed < 0:
+        raise ConfigError(f"{key}: must not be negative, got {seed}")
+    return seed
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -239,7 +246,7 @@ def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
 
 def cmd_mine_hard(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = _pick(args.seed, file_cfg, "seed", 0)
+    seed = _check_seed(_pick(args.seed, file_cfg, "seed", 0), "seed")
     dataset_path = _pick(args.dataset, file_cfg, "dataset", None)
     if dataset_path is None:
         raise ConfigError("mine-hard needs --dataset")
@@ -276,7 +283,7 @@ def cmd_mine_hard(args) -> int:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = _pick(args.seed, file_cfg, "seed", 0)
+    seed = _check_seed(_pick(args.seed, file_cfg, "seed", 0), "seed")
     hard_path = _pick(args.hard_set, file_cfg, "hard_set", None)
     if hard_path is None:
         raise ConfigError("train needs --hard-set")
@@ -337,7 +344,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = _pick(args.seed, file_cfg, "seed", 0)
+    seed = _check_seed(_pick(args.seed, file_cfg, "seed", 0), "seed")
     dataset_path = _pick(args.dataset, file_cfg, "dataset", None)
     if dataset_path is None:
         raise ConfigError("eval needs --dataset")
@@ -392,8 +399,9 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_train(args) -> int:
     file_cfg = _load_config_file(args.config)
+    listed = _pick(args.seeds, file_cfg, "seeds", "0")
     try:
-        seeds = [int(s) for s in _pick(args.seeds, file_cfg, "seeds", "0").split(",") if s != ""]
+        seeds = [_check_seed(int(s), "seeds") for s in listed.split(",") if s != ""]
     except ValueError as exc:
         raise ConfigError(f"seeds: {exc}") from exc
     if not seeds:
@@ -404,7 +412,7 @@ def cmd_synth_train(args) -> int:
     sharpness = _pick(args.sharpness, file_cfg, "sharpness", 0.7)
     if not 0.0 <= sharpness <= 1.0:
         raise ConfigError(f"sharpness: must lie in [0, 1], got {sharpness}")
-    mdp_seed = _pick(args.mdp_seed, file_cfg, "mdp_seed", 0)
+    mdp_seed = _check_seed(_pick(args.mdp_seed, file_cfg, "mdp_seed", 0), "mdp_seed")
     threshold = _pick(args.threshold, file_cfg, "threshold", 0.95)
     default_min_pass = len(seeds) - 1 if len(seeds) > 1 else 1
     min_pass = _pick(args.min_pass, file_cfg, "min_pass", default_min_pass)

@@ -3,7 +3,11 @@
 A step executes one logic block against the chat backend, appends exactly one
 durable reasoning step, scores the accumulated reasoning with the process
 reward model, and, unless the block was Terminate, self-evaluates the new
-context to produce the next state.
+context to produce the next state. Both read only the new context, so a
+non-terminal step runs the PRM score on a helper thread while the calling
+thread self-evaluates; the chat calls keep their order. If the PRM raises,
+its error wins over any self-evaluation error, and the step always waits for
+the PRM before it raises.
 
 Re-prompts: a structured reply that does not parse is asked for once more with
 the same prompt. If the decompose split or the debate plans still do not
@@ -16,6 +20,7 @@ the most complete report and defaults the aspects it still lacks to 0.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -235,7 +240,9 @@ def step(
     """Execute one logic block; see the module docstring for the contract.
 
     Refine requested on an empty context executes as ReasonOneStep. Any other
-    action outside the legal set raises IllegalActionError.
+    action outside the legal set raises IllegalActionError. After a
+    non-terminal block, the PRM scores on a helper thread while this thread
+    self-evaluates; a PRM error wins over a self-evaluation error.
     """
     legal = legal_actions(ctx, cfg)
     executed = action
@@ -261,8 +268,17 @@ def step(
     done = executed is ActionKind.TERMINATE
     answer_present = done or extract_answer(text, ctx.dataset_kind) is not None
     new_ctx = ctx.with_step(text, answer_present=answer_present)
-    reward = score_process(prm, ctx.problem, render_reasoning(new_ctx))
-    next_state = state if done else _self_evaluate(pipe, new_ctx)
+    reasoning = render_reasoning(new_ctx)
+    if done:
+        reward, next_state = score_process(prm, ctx.problem, reasoning), state
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            scored = pool.submit(score_process, prm, ctx.problem, reasoning)
+            try:
+                next_state = _self_evaluate(pipe, new_ctx)
+            finally:
+                # Waits for the PRM; an error it raised replaces self-evaluation's.
+                reward = scored.result()
     return StepOutcome(
         ctx=new_ctx,
         state=next_state,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, TypeVar
 
 import requests
+from requests.adapters import HTTPAdapter
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +186,14 @@ class OpenAIChatBackend:
                  sleep: Callable[[float], None] = time.sleep):
         self.cfg = cfg
         self.max_in_flight = cfg.max_in_flight
-        self._session = session or requests.Session()
+        if session is None:
+            # requests pools 10 connections per host by default; with more calls
+            # in flight, the surplus connections are discarded and reopened.
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=cfg.max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
         self._sleep = sleep
         self._slots = threading.BoundedSemaphore(cfg.max_in_flight)
 

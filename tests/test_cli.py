@@ -293,8 +293,13 @@ class TestConfigHandling:
         ("synth-train", {"sharpness": "steep"}, "sharpness"),
         ("synth-train", {"states": 0}, "states"),
         ("synth-train", {"sharpness": 5}, "sharpness"),
+        ("train", {"seed": -1}, "seed"),
+        ("eval", {"seed": -3}, "seed"),
+        ("synth-train", {"seeds": "0,-1"}, "seeds"),
+        ("synth-train", {"mdp_seed": -1}, "mdp_seed"),
     ], ids=["trials", "seed-string", "seed-fraction", "seeds-list", "seeds-item", "sharpness",
-            "states-range", "sharpness-range"])
+            "states-range", "sharpness-range", "seed-negative", "eval-seed-negative", "seeds-negative",
+            "mdp-seed-negative"])
     def test_bad_top_level_value_is_a_config_error(self, tmp_path, capsys, command, top, key):
         cfg = write_config(tmp_path, scripted_config(**top))
         data = write_dataset(tmp_path, [numeric_question("q", "7")])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -19,7 +20,7 @@ from qnav.env import (
     reset,
     step,
 )
-from qnav.gateway import ScriptedChatBackend, ScriptedPrm, ScriptedRule, UsageLog
+from qnav.gateway import GatewayError, ScriptedChatBackend, ScriptedPrm, ScriptedRule, UsageLog
 from qnav.prompts import MalformedEvaluationError
 
 from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, standard_rules
@@ -481,6 +482,96 @@ class TestReasoningEpisode:
         assert ep.transitions == []
         assert ep.final_text is None
         assert ep.final_answer is None
+
+
+class TestPrmOverlap:
+    """A non-terminal step scores with the PRM while the LLM self-evaluates.
+
+    GatedPrm.score returns only once the chat backend has received a given
+    self-evaluation prompt, so a step that ran the two one after the other
+    would time out in the PRM.
+    """
+
+    GATE_TIMEOUT_S = 5.0
+    SELF_EVAL = "Please evaluate the current step"
+
+    class GatedChat(ScriptedChatBackend):
+        """Opens gate when the open_at-th self-evaluation prompt arrives."""
+
+        def __init__(self, rules, open_at):
+            super().__init__(rules)
+            self.gate = threading.Event()
+            self.open_at = open_at
+            self.self_evals = 0
+
+        def complete(self, request):
+            if TestPrmOverlap.SELF_EVAL in request.prompt:
+                self.self_evals += 1
+                if self.self_evals == self.open_at:
+                    self.gate.set()
+            return super().complete(request)
+
+    class GatedPrm:
+        def __init__(self, gate, error=None):
+            self.gate = gate
+            self.error = error
+            self.threads = []
+            self.finished = threading.Event()
+
+        def score(self, problem, reasoning):
+            self.threads.append(threading.get_ident())
+            try:
+                if not self.gate.wait(TestPrmOverlap.GATE_TIMEOUT_S):
+                    raise TimeoutError("self-evaluation did not start while the PRM was scoring")
+                if self.error is not None:
+                    raise self.error
+                return 0.25
+            finally:
+                self.finished.set()
+
+    def test_prm_scores_while_self_evaluation_runs(self):
+        chat = self.GatedChat(standard_rules(), open_at=2)  # reset's evaluation, then the step's
+        prm = self.GatedPrm(chat.gate)
+        ctx, state, _ = make_ctx(chat)
+        out = step(ctx, state, R, chat, prm)
+        assert out.reward == 0.25
+        assert out.state == EVAL_STATE
+        assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
+        assert prm.threads != [threading.get_ident()]
+
+    def test_terminal_step_scores_inline_without_self_evaluation(self, chat):
+        threads = []
+
+        class RecordingPrm:
+            def score(self, problem, reasoning):
+                threads.append(threading.get_ident())
+                return 0.75
+
+        ctx, state, _ = make_ctx(chat)
+        out = step(ctx, state, T, chat, RecordingPrm())
+        assert out.reward == 0.75
+        assert threads == [threading.get_ident()]
+        assert [c.stage for c in out.transcript] == ["terminate"]
+
+    @pytest.mark.parametrize("prm_fails, self_eval_fails, surfaces", [
+        (True, True, GatewayError),
+        (False, True, MalformedEvaluationError),
+        (True, False, GatewayError),
+    ], ids=["both-fail", "self-eval-fails", "prm-fails"])
+    def test_error_order(self, prm_fails, self_eval_fails, surfaces):
+        rules = list(standard_rules())
+        if self_eval_fails:
+            rules[0] = ScriptedRule(self.SELF_EVAL, [EVAL_RESPONSE, "hmm.", "hmm."])
+        # The PRM answers once the step's last self-evaluation prompt is out.
+        chat = self.GatedChat(rules, open_at=3 if self_eval_fails else 2)
+        prm = self.GatedPrm(chat.gate, GatewayError("prm down") if prm_fails else None)
+        ep = ReasoningEpisode(problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm)
+        ep.reset()
+        with pytest.raises(EpisodeFailure) as excinfo:
+            ep.step(R)
+        assert type(excinfo.value.__cause__) is surfaces
+        assert prm.finished.is_set()  # the step waited for the PRM before it raised
+        assert ep.outcomes == [] and ep.transitions == []
 
 
 class TestGoldenTranscript:

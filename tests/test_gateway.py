@@ -243,6 +243,18 @@ class TestOpenAIChatBackend(WireTransportCases):
         backend, _ = self.make([], max_in_flight=3)
         assert backend.max_in_flight == 3
 
+    @pytest.mark.parametrize("url", ["http://unit.test/v1", "https://unit.test/v1"])
+    def test_own_session_pools_a_connection_per_slot(self, url):
+        backend = OpenAIChatBackend(WireConfig(base_url=url, model="m", max_in_flight=12))
+        adapter = backend._session.get_adapter(url)
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] == 12
+
+    def test_callers_session_is_left_as_given(self):
+        session = requests.Session()
+        adapters = dict(session.adapters)
+        OpenAIChatBackend(WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=12), session=session)
+        assert session.adapters == adapters
+
     def test_parses_completion_and_usage(self):
         backend, session = self.make([FakeResponse(200, completion_payload("out"))])
         ex = backend.complete(ChatRequest("hi", temperature=0.3, max_output_tokens=77))
