@@ -6,10 +6,7 @@ from .core import (
     EpisodeFailure,
     ReasoningContext,
     StateVector,
-    Trajectory,
     Transition,
-    action_from_index,
-    action_index,
     encode_state,
 )
 from .net import Adam, CheckpointError, DuelingNet, load_checkpoint, parameter_count, save_checkpoint
@@ -25,10 +22,7 @@ __all__ = [
     "EpisodeFailure",
     "ReasoningContext",
     "StateVector",
-    "Trajectory",
     "Transition",
-    "action_from_index",
-    "action_index",
     "encode_state",
     "load_checkpoint",
     "parameter_count",

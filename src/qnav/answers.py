@@ -110,10 +110,8 @@ def answers_equivalent(a: str, b: str, kind: DatasetKind) -> bool:
 class VoteResult:
     """Outcome of a majority vote over answer equivalence classes."""
 
-    candidates: tuple[str, ...]
     winner: str  # representative: the first-seen member of the winning class
     tie_broken: bool
-    seed: int
 
 
 def majority_vote(answers: list[str], kind: DatasetKind, seed: int = 0) -> VoteResult:
@@ -134,4 +132,4 @@ def majority_vote(answers: list[str], kind: DatasetKind, seed: int = 0) -> VoteR
     tied = [rep for rep, c in zip(reps, counts) if c == best]
     tie_broken = len(tied) > 1
     winner = tied[0] if not tie_broken else random.Random(seed).choice(tied)
-    return VoteResult(candidates=tuple(answers), winner=winner, tie_broken=tie_broken, seed=seed)
+    return VoteResult(winner=winner, tie_broken=tie_broken)

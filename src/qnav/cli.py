@@ -351,6 +351,8 @@ def cmd_eval(args) -> int:
     policy_name = _pick(args.policy, file_cfg, "policy", "nav")
     checkpoint_path = _pick(args.checkpoint, file_cfg, "checkpoint", None)
     trials = _pick(args.trials, file_cfg, "trials", 3)
+    if trials < 1:
+        raise ConfigError(f"trials: need at least one, got {trials}")
     out = _out_dir(args, seed, file_cfg)
     gateway_cfg = _gateway_section(args, file_cfg)
     prm_cfg = _section(file_cfg, "prm")
@@ -399,6 +401,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_train(args) -> int:
     file_cfg = _load_config_file(args.config)
+    if file_cfg.get("seed") is not None:
+        raise ConfigError("seed: synth-train takes its trainer seeds as seeds (comma-separated)")
     listed = _pick(args.seeds, file_cfg, "seeds", "0")
     try:
         seeds = [_check_seed(int(s), "seeds") for s in listed.split(",") if s != ""]
@@ -495,11 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gateway=True):
+    def common(p, llm=True):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default=None, help="artifact directory (default: runs/<stamp>-seed<seed>)")
-        if gateway:
+        if llm:
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--base-url", default=None, help="OpenAI-compatible endpoint base URL")
             p.add_argument("--model", default=None)
             p.add_argument("--api-key-env", default=None, help="env var holding the API key")
@@ -523,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth-train", help="prove the trainer on the synthetic MDP")
-    common(p, gateway=False)
+    # No abbreviations here: --seed would silently mean --seeds.
+    p = sub.add_parser("synth-train", help="prove the trainer on the synthetic MDP", allow_abbrev=False)
+    common(p, llm=False)
     p.add_argument("--states", type=int, default=None)
     p.add_argument("--sharpness", type=float, default=None)
     p.add_argument("--episodes", type=int, default=None)

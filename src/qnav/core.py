@@ -5,7 +5,7 @@ Everything here is an immutable value object, safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -42,17 +42,6 @@ class DatasetKind(str, Enum):
     YES_NO = "yes_no"
 
 
-def action_index(action: ActionKind) -> int:
-    """Stable integer index of an action (0..4)."""
-    return int(action)
-
-
-def action_from_index(index: int) -> ActionKind:
-    if not 0 <= index < NUM_ACTIONS:
-        raise ValueError(f"action index out of range: {index}")
-    return ActionKind(index)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Seven self-evaluation scores, each in 0..3, ordered as ASPECT_KEYS."""
@@ -65,10 +54,6 @@ class StateVector:
         for s in self.scores:
             if not isinstance(s, int) or not 0 <= s <= MAX_SCORE:
                 raise ValueError(f"score out of range 0..{MAX_SCORE}: {s!r}")
-
-    @classmethod
-    def from_mapping(cls, scores: dict[str, int]) -> "StateVector":
-        return cls(tuple(int(scores.get(k, 0)) for k in ASPECT_KEYS))
 
 
 def encode_state(state: StateVector) -> np.ndarray:
@@ -108,12 +93,3 @@ class Transition:
     reward: float
     next_state: StateVector
     done: bool
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One finished episode: the transitions plus the extracted answer, if any."""
-
-    question_id: str
-    transitions: tuple[Transition, ...] = field(default_factory=tuple)
-    final_answer: str | None = None

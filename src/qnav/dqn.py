@@ -156,12 +156,8 @@ class ReplayBuffer:
         return self._size
 
 
-def td_targets(
-    batch: Batch | Sequence[Transition], online: DuelingNet, target: DuelingNet, gamma: float
-) -> np.ndarray:
+def td_targets(batch: Batch, online: DuelingNet, target: DuelingNet, gamma: float) -> np.ndarray:
     """Double-DQN regression targets for a batch, shape (B,)."""
-    if not isinstance(batch, Batch):
-        batch = Batch.of(batch)
     best = online.forward_batch(batch.next_states).argmax(axis=1)
     next_q = target.forward_batch(batch.next_states)[np.arange(len(best)), best]
     return batch.rewards + np.where(batch.done, 0.0, gamma * next_q)
@@ -171,13 +167,11 @@ def train_step(
     online: DuelingNet,
     target: DuelingNet,
     adam: Adam,
-    batch: Batch | Sequence[Transition],
+    batch: Batch,
     gamma: float,
     lr: float,
 ) -> float:
     """One gradient step on mean squared TD error; returns the loss."""
-    if not isinstance(batch, Batch):
-        batch = Batch.of(batch)
     y = td_targets(batch, online, target, gamma)
     q, cache = online.forward_batch_cached(batch.states)
     n = len(y)
@@ -190,10 +184,6 @@ def train_step(
     grads = online.backward_batch(batch.states, dq, cache)
     adam.step(online, grads, lr)
     return loss
-
-
-def sync_target(online: DuelingNet, target: DuelingNet) -> None:
-    target.load_state(online)
 
 
 def masked_argmax(q: np.ndarray, legal: Sequence[ActionKind]) -> ActionKind:
@@ -265,7 +255,7 @@ def run_training(
                     losses.append(train_step(online, target, adam, buffer.sample(cfg.batch_size, rng), cfg.gamma, lr))
                     updates += 1
                     if updates % cfg.target_sync_interval == 0:
-                        sync_target(online, target)
+                        target.load_state(online)
                 state = next_state
         except EpisodeFailure as exc:
             log.warning("episode %d aborted: %s", episode, exc)

@@ -32,7 +32,6 @@ from .core import (
     EpisodeFailure,
     ReasoningContext,
     StateVector,
-    Trajectory,
     Transition,
 )
 from .gateway import (
@@ -101,11 +100,6 @@ class StepOutcome:
     executed: ActionKind  # differs from action only for Refine remapped at step 0
     appended: str
     transcript: tuple[SubCall, ...]
-
-    @property
-    def block_calls(self) -> tuple[SubCall, ...]:
-        """Sub-calls made by the logic block itself, self-evaluation excluded."""
-        return tuple(c for c in self.transcript if c.stage != "self_eval")
 
 
 def legal_action_set(
@@ -309,7 +303,6 @@ class ReasoningEpisode:
 
     ctx: ReasoningContext | None = field(default=None, init=False)
     state: StateVector | None = field(default=None, init=False)
-    outcomes: list[StepOutcome] = field(default_factory=list, init=False)
     transitions: list[Transition] = field(default_factory=list, init=False)
     final_text: str | None = field(default=None, init=False)
     failed: bool = field(default=False, init=False)
@@ -326,7 +319,6 @@ class ReasoningEpisode:
             raise EpisodeFailure(f"reset failed: {exc}") from exc
         self._record(calls)
         self.ctx, self.state = ctx, state
-        self.outcomes.clear()
         self.transitions.clear()
         self.final_text = None
         self.failed = False
@@ -348,7 +340,6 @@ class ReasoningEpisode:
         except (GatewayError, MalformedEvaluationError) as exc:
             raise EpisodeFailure(f"step failed: {exc}") from exc
         self._record(outcome.transcript)
-        self.outcomes.append(outcome)
         self.transitions.append(Transition(self.state, action, outcome.reward, outcome.state, outcome.done))
         self.ctx, self.state = outcome.ctx, outcome.state
         if outcome.done:
@@ -360,10 +351,3 @@ class ReasoningEpisode:
         if self.final_text is None:
             return None
         return extract_answer(self.final_text, self.kind)
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(
-            question_id=self.question_id,
-            transitions=tuple(self.transitions),
-            final_answer=self.final_answer,
-        )

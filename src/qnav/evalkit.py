@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 
 from .answers import VoteResult, answers_equivalent, extract_answer, majority_vote
-from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, Trajectory, encode_state
+from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, encode_state
 from .dqn import masked_argmax
 from .env import EnvConfig, ReasoningEpisode
 from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayError, PrmBackend, Usage, UsageLog
@@ -228,7 +228,7 @@ class RandomPolicy:
         return RandomPolicy(f"{self.seed}:{question_index}:{trial}")
 
 
-def run_episode(episode: ReasoningEpisode, policy: Policy) -> Trajectory:
+def run_episode(episode: ReasoningEpisode, policy: Policy) -> None:
     """Drive one question to termination under a policy."""
     state = episode.reset()
     done = False
@@ -236,7 +236,6 @@ def run_episode(episode: ReasoningEpisode, policy: Policy) -> Trajectory:
         assert episode.ctx is not None
         action = policy.select(state, episode.legal_actions(), episode.ctx.actions_taken)
         state, _, done = episode.step(action)
-    return episode.trajectory()
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -343,12 +342,12 @@ def evaluate(
             usage_log=usage_log,
         )
         try:
-            trajectory = run_episode(episode, policy.for_trial(index, trial))
+            run_episode(episode, policy.for_trial(index, trial))
         except EpisodeFailure as exc:
             log.warning("question %s trial %d failed: %s", record.id, trial, exc)
             return _TrialOutcome(started, time.monotonic(), None, ())
-        actions = tuple(t.action.name for t in trajectory.transitions)
-        return _TrialOutcome(started, time.monotonic(), trajectory.final_answer, actions)
+        actions = tuple(t.action.name for t in episode.transitions)
+        return _TrialOutcome(started, time.monotonic(), episode.final_answer, actions)
 
     jobs = [(index, trial) for index in range(len(dataset)) for trial in range(cfg.trials)]
     outcomes = _map_in_order(run_trial, jobs, chat.max_in_flight)

@@ -215,9 +215,7 @@ class SelfEvalReport:
     """Parsed seven-aspect evaluation; missing lists aspects that defaulted to 0."""
 
     scores: tuple[int, ...]
-    reasons: tuple[str, ...]
     missing: tuple[str, ...]
-    raw: str
 
     @property
     def state(self) -> StateVector:
@@ -233,8 +231,7 @@ def parse_self_eval(text: str) -> SelfEvalReport:
     if not matches:
         raise MalformedEvaluationError("no aspect markers found")
     scores: dict[str, int] = {}
-    reasons: dict[str, str] = {}
-    for i, m in enumerate(matches):
+    for m in matches:
         key = m.group(1).upper()
         if key not in ASPECT_KEYS or key in scores:
             continue
@@ -242,15 +239,9 @@ def parse_self_eval(text: str) -> SelfEvalReport:
         if not 0 <= value <= MAX_SCORE:
             continue
         scores[key] = value
-        tail_end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
-        reason = text[m.end():tail_end].strip()
-        reasons[key] = re.sub(r"^reason\s*=\s*", "", reason, flags=re.IGNORECASE).strip("[] \n")
-    missing = tuple(k for k in ASPECT_KEYS if k not in scores)
     return SelfEvalReport(
         scores=tuple(scores.get(k, 0) for k in ASPECT_KEYS),
-        reasons=tuple(reasons.get(k, "") for k in ASPECT_KEYS),
-        missing=missing,
-        raw=text,
+        missing=tuple(k for k in ASPECT_KEYS if k not in scores),
     )
 
 

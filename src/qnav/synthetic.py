@@ -36,27 +36,6 @@ class ScriptedMdp:
     def n_states(self) -> int:
         return len(self.states)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "states": [list(s.scores) for s in self.states],
-            "planted": list(self.planted),
-            "rewards": [list(row) for row in self.rewards],
-            "next_state": [list(row) for row in self.next_state],
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_jsonable(cls, doc: dict) -> "ScriptedMdp":
-        return cls(
-            states=tuple(StateVector(tuple(int(x) for x in s)) for s in doc["states"]),
-            planted=tuple(int(x) for x in doc["planted"]),
-            rewards=tuple(tuple(float(x) for x in row) for row in doc["rewards"]),
-            next_state=tuple(tuple(int(x) for x in row) for row in doc["next_state"]),
-            horizon=int(doc["horizon"]),
-            seed=int(doc["seed"]),
-        )
-
 
 def make_scripted(
     n_states: int = 8, sharpness: float = 0.7, seed: int = 0, horizon: int = 5

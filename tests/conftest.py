@@ -34,6 +34,11 @@ SUBTASKS_RESPONSE = (
 )
 
 
+def block_calls(outcome):
+    """Sub-calls a step's logic block made, self-evaluation excluded."""
+    return tuple(c for c in outcome.transcript if c.stage != "self_eval")
+
+
 def standard_rules():
     """Rules for a complete scripted episode on the 3 + 4 problem."""
     return (

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import standard_rules
+from conftest import block_calls, standard_rules
 from qnav import cli, env, synthetic
 from qnav.answers import answers_equivalent, extract_answer, majority_vote
 from qnav.core import (
@@ -24,7 +24,7 @@ from qnav.core import (
     Transition,
     encode_state,
 )
-from qnav.dqn import TrainerConfig, epsilon_at, lr_at, run_training, td_targets
+from qnav.dqn import Batch, TrainerConfig, epsilon_at, lr_at, run_training, td_targets
 from qnav.env import EnvConfig, legal_action_set
 from qnav.evalkit import QuestionRecord, mine_hard, save_dataset
 from qnav.gateway import (
@@ -141,18 +141,18 @@ def test_criterion_03_double_dqn_targets_match_scalar_oracle():
             target = DuelingNet.initialize(int(rng.integers(1_000_000)), (8, 6))
         gamma = gammas[batch_idx % len(gammas)]
         batch = [_random_transition(rng) for _ in range(8)]
-        got = td_targets(batch, online, target, gamma)
+        got = td_targets(Batch.of(batch), online, target, gamma)
         for i, t in enumerate(batch):
             expected = _scalar_double_dqn_target(t, online, target, gamma)
             assert abs(float(got[i]) - expected) <= 1e-12
 
     done_batch = [_random_transition(rng, done=True) for _ in range(16)]
     rewards = np.array([t.reward for t in done_batch])
-    assert np.array_equal(td_targets(done_batch, online, target, 0.9), rewards)
+    assert np.array_equal(td_targets(Batch.of(done_batch), online, target, 0.9), rewards)
 
     live_batch = [_random_transition(rng, done=False) for _ in range(16)]
     rewards = np.array([t.reward for t in live_batch])
-    assert np.array_equal(td_targets(live_batch, online, target, 0.0), rewards)
+    assert np.array_equal(td_targets(Batch.of(live_batch), online, target, 0.0), rewards)
 
 
 def test_criterion_04_schedules_exact_values():
@@ -378,10 +378,10 @@ def test_criterion_09_block_pipeline_call_counts():
     )
 
     decompose = env.step(ctx, state, ActionKind.DECOMPOSE, chat, prm, cfg)
-    stages = [c.stage for c in decompose.block_calls]
+    stages = [c.stage for c in block_calls(decompose)]
     k = stages.count("decompose_execute")
     assert k == 2  # the scripted split plants two subtasks
-    assert len(decompose.block_calls) == k + 2
+    assert len(block_calls(decompose)) == k + 2
     assert stages == [
         "decompose_split",
         "decompose_execute",
@@ -391,8 +391,8 @@ def test_criterion_09_block_pipeline_call_counts():
     assert decompose.ctx.steps == ctx.steps + ("The sum of 3 and 4 is 7.",)
 
     debate = env.step(decompose.ctx, decompose.state, ActionKind.DEBATE, chat, prm, cfg)
-    assert len(debate.block_calls) == 3
-    assert [c.stage for c in debate.block_calls] == [
+    assert len(block_calls(debate)) == 3
+    assert [c.stage for c in block_calls(debate)] == [
         "debate_plans",
         "debate_choice",
         "debate_execute",

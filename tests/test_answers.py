@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from qnav.answers import (
-    VoteResult,
-    answers_equivalent,
-    extract_answer,
-    majority_vote,
-)
+from qnav.answers import answers_equivalent, extract_answer, majority_vote
 from qnav.core import DatasetKind
 
 MATH = DatasetKind.MATH_BOXED
@@ -159,7 +154,6 @@ class TestMajorityVote:
         result = majority_vote(["7", "7", "8"], NUM)
         assert result.winner == "7"
         assert result.tie_broken is False
-        assert result.candidates == ("7", "7", "8")
 
     def test_equivalent_answers_pool_votes(self):
         result = majority_vote(["1/2", "0.7", "0.5"], NUM)
@@ -186,11 +180,6 @@ class TestMajorityVote:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             majority_vote([], NUM)
-
-    def test_result_carries_seed(self):
-        assert majority_vote(["yes"], YESNO, seed=9) == VoteResult(
-            candidates=("yes",), winner="yes", tie_broken=False, seed=9
-        )
 
     def test_against_group_counting_oracle(self):
         # Pools whose members are mutually equivalent but distinct across

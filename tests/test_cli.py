@@ -286,6 +286,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, top, key", [
         ("eval", {"trials": "abc"}, "trials"),
+        ("eval", {"trials": 0}, "trials"),
         ("eval", {"seed": "x"}, "seed"),
         ("train", {"seed": 1.5}, "seed"),
         ("synth-train", {"seeds": [0, 1]}, "seeds"),
@@ -297,7 +298,7 @@ class TestConfigHandling:
         ("eval", {"seed": -3}, "seed"),
         ("synth-train", {"seeds": "0,-1"}, "seeds"),
         ("synth-train", {"mdp_seed": -1}, "mdp_seed"),
-    ], ids=["trials", "seed-string", "seed-fraction", "seeds-list", "seeds-item", "sharpness",
+    ], ids=["trials", "trials-zero", "seed-string", "seed-fraction", "seeds-list", "seeds-item", "sharpness",
             "states-range", "sharpness-range", "seed-negative", "eval-seed-negative", "seeds-negative",
             "mdp-seed-negative"])
     def test_bad_top_level_value_is_a_config_error(self, tmp_path, capsys, command, top, key):
@@ -311,6 +312,15 @@ class TestConfigHandling:
         code = cli.main([command, "--config", cfg, *inputs, "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert f"{key}: " in capsys.readouterr().err
+
+    def test_negative_trials_flag_is_a_config_error(self, tmp_path, capsys):
+        data = write_dataset(tmp_path, [numeric_question("q", "7")])
+        code = cli.main([
+            "eval", "--config", write_config(tmp_path, scripted_config()), "--dataset", data,
+            "--policy", "fixed-sequence", "--trials", "-1", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "trials: " in capsys.readouterr().err
 
     def test_unknown_enabled_block_name(self, tmp_path, capsys):
         doc = scripted_config(
@@ -619,3 +629,16 @@ class TestSynthTrain:
         code = cli.main(["synth-train", "--seeds", ",", "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert "at least one seed" in capsys.readouterr().err
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["synth-train", "--seed", "-7", "--episodes", "1", "--out-dir", str(tmp_path / "o")])
+        assert excinfo.value.code == 2
+
+    def test_top_level_seed_points_to_seeds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"seed": 3})
+        code = cli.main(["synth-train", "--config", cfg, "--episodes", "1", "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed: " in err and "seeds" in err
+        assert not (tmp_path / "o").exists()

@@ -15,26 +15,24 @@ from qnav.core import (
     ReasoningContext,
     StateVector,
     Transition,
-    action_from_index,
-    action_index,
     encode_state,
 )
 
 
 class TestActionEncoding:
     def test_indices_are_stable(self):
-        assert [action_index(a) for a in ActionKind] == [0, 1, 2, 3, 4]
-        assert action_index(ActionKind.REASON_ONE_STEP) == 0
-        assert action_index(ActionKind.TERMINATE) == 4
+        assert [int(a) for a in ActionKind] == [0, 1, 2, 3, 4]
+        assert int(ActionKind.REASON_ONE_STEP) == 0
+        assert int(ActionKind.TERMINATE) == 4
 
     def test_round_trip(self):
         for a in ActionKind:
-            assert action_from_index(action_index(a)) is a
+            assert ActionKind(int(a)) is a
 
     @pytest.mark.parametrize("bad", [-1, 5, 99])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
-            action_from_index(bad)
+            ActionKind(bad)
 
     def test_counts(self):
         assert NUM_ACTIONS == len(ActionKind) == 5
@@ -53,15 +51,6 @@ class TestStateVector:
     def test_rejects_bad_shapes_and_ranges(self, scores):
         with pytest.raises(ValueError):
             StateVector(scores=scores)
-
-    def test_from_mapping_uses_aspect_order(self):
-        mapping = {"B1": 3, "A1": 1, "C2": 2, "A2": 0, "A3": 1, "B2": 0, "C1": 3}
-        sv = StateVector.from_mapping(mapping)
-        assert sv.scores == (1, 0, 1, 3, 0, 3, 2)
-
-    def test_from_mapping_defaults_missing_aspects_to_zero(self):
-        sv = StateVector.from_mapping({k: 1 for k in ASPECT_KEYS[:-1]})
-        assert sv.scores == (1, 1, 1, 1, 1, 1, 0)
 
     def test_frozen(self):
         sv = StateVector(scores=(0,) * 7)
@@ -129,3 +118,14 @@ def test_transition_is_frozen_record():
     assert t.reward == 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.reward = 0.9
+
+
+def test_star_import_exports_every_public_name():
+    import qnav
+
+    namespace: dict = {}
+    exec("from qnav import *", namespace)
+    exported = {name for name in namespace if name != "__builtins__"}
+    assert exported == set(qnav.__all__)
+    for name in qnav.__all__:
+        assert namespace[name] is getattr(qnav, name)

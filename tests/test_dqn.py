@@ -23,7 +23,6 @@ from qnav.dqn import (
     run_training,
     select_action,
     stats_table,
-    sync_target,
     td_targets,
     train_step,
 )
@@ -179,7 +178,7 @@ class TestTdTargets:
         target = DuelingNet.initialize(2, (6, 5))
         for _ in range(50):
             batch = [make_transition(rng, done=rng.random() < 0.3) for _ in range(8)]
-            got = td_targets(batch, online, target, 0.9)
+            got = td_targets(Batch.of(batch), online, target, 0.9)
             want = scalar_td_oracle(batch, online, target, 0.9)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -188,7 +187,7 @@ class TestTdTargets:
         online = DuelingNet.initialize(0, (4, 4))
         target = DuelingNet.initialize(9, (4, 4))
         batch = [make_transition(rng, done=True) for _ in range(5)]
-        got = td_targets(batch, online, target, 0.9)
+        got = td_targets(Batch.of(batch), online, target, 0.9)
         assert list(got) == [t.reward for t in batch]
 
     def test_gamma_zero_reduces_to_rewards(self):
@@ -196,7 +195,7 @@ class TestTdTargets:
         online = DuelingNet.initialize(0, (4, 4))
         target = online.clone()
         batch = [make_transition(rng) for _ in range(6)]
-        got = td_targets(batch, online, target, 0.0)
+        got = td_targets(Batch.of(batch), online, target, 0.0)
         assert list(got) == [t.reward for t in batch]
 
     def test_selection_uses_online_evaluation_uses_target(self):
@@ -210,7 +209,7 @@ class TestTdTargets:
         nx = encode_state(t.next_state)
         best = int(np.argmax(online.forward(nx)))
         want = 0.9 * float(target.forward(nx)[best])
-        got = float(td_targets([t], online, target, 0.9)[0])
+        got = float(td_targets(Batch.of([t]), online, target, 0.9)[0])
         assert abs(got - want) < 1e-12
         # and it is not simply max over the target net
         assert abs(got - 0.9 * float(target.forward(nx).max())) > 1e-6
@@ -232,7 +231,7 @@ class TestTrainStep:
             for i, t in enumerate(raw)
         ]
         before = {k: online.params[k].copy() for k in PARAM_KEYS}
-        loss = train_step(online, target, Adam(online), batch, 0.0, 0.01)
+        loss = train_step(online, target, Adam(online), Batch.of(batch), 0.0, 0.01)
         assert loss == 0.0
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(online.params[k], before[k])
@@ -242,13 +241,13 @@ class TestTrainStep:
         online = DuelingNet.initialize(4, (5, 4))
         target = DuelingNet.initialize(5, (5, 4))
         batch = [make_transition(rng, done=rng.random() < 0.5) for _ in range(6)]
-        y = td_targets(batch, online, target, 0.9)
+        y = td_targets(Batch.of(batch), online, target, 0.9)
         diffs = [
             float(online.forward(encode_state(t.state))[int(t.action)]) - y[i]
             for i, t in enumerate(batch)
         ]
         want = sum(d * d for d in diffs) / len(batch)
-        loss = train_step(online, target, Adam(online), batch, 0.9, 0.01)
+        loss = train_step(online, target, Adam(online), Batch.of(batch), 0.9, 0.01)
         assert abs(loss - want) < 1e-12
 
     def test_step_reduces_loss_on_repeated_batch(self):
@@ -256,7 +255,7 @@ class TestTrainStep:
         online = DuelingNet.initialize(6, (8, 6))
         target = online.clone()
         adam = Adam(online)
-        batch = [make_transition(rng, done=True) for _ in range(8)]
+        batch = Batch.of([make_transition(rng, done=True) for _ in range(8)])
         first = train_step(online, target, adam, batch, 0.9, 0.01)
         for _ in range(60):
             last = train_step(online, target, adam, batch, 0.9, 0.01)
@@ -266,7 +265,7 @@ class TestTrainStep:
 def test_sync_target_copies_then_decouples():
     online = DuelingNet.initialize(0, (4, 4))
     target = DuelingNet.initialize(1, (4, 4))
-    sync_target(online, target)
+    target.load_state(online)
     x = np.linspace(0, 1, 7)
     np.testing.assert_array_equal(target.forward(x), online.forward(x))
     online.params["ba"][0] += 0.5  # bias reaches the output even if relus are dead

@@ -23,7 +23,7 @@ from qnav.env import (
 from qnav.gateway import GatewayError, ScriptedChatBackend, ScriptedPrm, ScriptedRule, UsageLog
 from qnav.prompts import MalformedEvaluationError
 
-from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, standard_rules
+from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, block_calls, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -145,7 +145,7 @@ class TestReasonOneStep:
         assert out.ctx.steps == ("We compute 3+4=7.",)
         assert out.done is False
         assert out.action is out.executed is R
-        assert [c.stage for c in out.block_calls] == ["reason_one_step"]
+        assert [c.stage for c in block_calls(out)] == ["reason_one_step"]
         assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
 
     def test_reward_comes_from_prm_on_numbered_reasoning(self, chat):
@@ -182,7 +182,7 @@ class TestDecompose:
     def test_two_subtasks_cost_four_block_calls(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEC, chat, prm)
-        stages = [c.stage for c in out.block_calls]
+        stages = [c.stage for c in block_calls(out)]
         assert stages == [
             "decompose_split",
             "decompose_execute",
@@ -200,7 +200,7 @@ class TestDecompose:
     def test_execute_prompts_accumulate_prior_results(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEC, chat, prm)
-        executes = [c for c in out.block_calls if c.stage == "decompose_execute"]
+        executes = [c for c in block_calls(out) if c.stage == "decompose_execute"]
         first, second = (c.exchange.request.prompt for c in executes)
         assert "Result of Subtask1" not in first
         assert "Result of Subtask1: Subtask result: the sum is 7." in second
@@ -213,7 +213,7 @@ class TestDecompose:
         chat = ScriptedChatBackend(rules)
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEC, chat, prm)
-        executes = [c for c in out.block_calls if c.stage == "decompose_execute"]
+        executes = [c for c in block_calls(out) if c.stage == "decompose_execute"]
         assert len(executes) == 6
 
     def test_split_retry_then_failure(self, prm):
@@ -239,7 +239,7 @@ class TestDecompose:
         chat = ScriptedChatBackend(rules)
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEC, chat, prm)
-        stages = [c.stage for c in out.block_calls]
+        stages = [c.stage for c in block_calls(out)]
         assert stages.count("decompose_split") == 2
         assert stages.count("decompose_execute") == 1
 
@@ -248,7 +248,7 @@ class TestDebate:
     def test_exactly_three_block_calls(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        assert [c.stage for c in out.block_calls] == [
+        assert [c.stage for c in block_calls(out)] == [
             "debate_plans",
             "debate_choice",
             "debate_execute",
@@ -263,14 +263,14 @@ class TestDebate:
     def test_chosen_plan_feeds_execution(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        execute = out.block_calls[-1].exchange.request.prompt
+        execute = block_calls(out)[-1].exchange.request.prompt
         assert "Count up from the larger number." in execute
         assert "Add the numbers directly." not in execute
 
     def test_choice_prompt_carries_raw_plans_text(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        choice = out.block_calls[1].exchange.request.prompt
+        choice = block_calls(out)[1].exchange.request.prompt
         assert PLANS_RESPONSE in choice
 
     def test_unparseable_choice_falls_back_to_first_plan(self, prm):
@@ -279,9 +279,9 @@ class TestDebate:
         chat = ScriptedChatBackend(rules)
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        stages = [c.stage for c in out.block_calls]
+        stages = [c.stage for c in block_calls(out)]
         assert stages.count("debate_choice") == 2  # retry before the fallback
-        execute = out.block_calls[-1].exchange.request.prompt
+        execute = block_calls(out)[-1].exchange.request.prompt
         assert "Add the numbers directly." in execute
 
     def test_plans_retry_recovers(self, prm):
@@ -292,13 +292,13 @@ class TestDebate:
         chat = ScriptedChatBackend(rules)
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        assert [c.stage for c in out.block_calls] == [
+        assert [c.stage for c in block_calls(out)] == [
             "debate_plans",
             "debate_plans",
             "debate_choice",
             "debate_execute",
         ]
-        choice = out.block_calls[2].exchange.request.prompt
+        choice = block_calls(out)[2].exchange.request.prompt
         assert PLANS_RESPONSE in choice
         assert "unformatted" not in choice
 
@@ -311,9 +311,9 @@ class TestDebate:
         chat = ScriptedChatBackend(rules)
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        stages = [c.stage for c in out.block_calls]
+        stages = [c.stage for c in block_calls(out)]
         assert stages == ["debate_plans", "debate_choice", "debate_choice", "debate_execute"]
-        execute = out.block_calls[-1].exchange.request.prompt
+        execute = block_calls(out)[-1].exchange.request.prompt
         assert "Use a number line." in execute
         assert "Add the numbers directly." not in execute
 
@@ -419,11 +419,8 @@ class TestReasoningEpisode:
         ns, r2, done = ep.step(T)
         assert done is True
         assert ep.final_answer == "7"
-        traj = ep.trajectory()
-        assert traj.question_id == "q1"
-        assert len(traj.transitions) == 2
-        assert traj.transitions[-1].done is True
-        assert traj.final_answer == "7"
+        assert len(ep.transitions) == 2
+        assert ep.transitions[-1].done is True
 
     def test_trainer_protocol_legal_actions(self, chat, prm):
         ep = self.make(chat, prm)
@@ -445,7 +442,7 @@ class TestReasoningEpisode:
         assert ns == state
         assert ep.failed is True
         assert ep.final_answer is None
-        assert ep.trajectory().transitions[-1].done is True
+        assert ep.transitions[-1].done is True
 
     def test_gateway_failure_raises_episode_failure(self, prm):
         chat = ScriptedChatBackend([])  # strict, no rules at all
@@ -571,7 +568,7 @@ class TestPrmOverlap:
             ep.step(R)
         assert type(excinfo.value.__cause__) is surfaces
         assert prm.finished.is_set()  # the step waited for the PRM before it raised
-        assert ep.outcomes == [] and ep.transitions == []
+        assert ep.transitions == []
 
 
 class TestGoldenTranscript:

@@ -224,19 +224,19 @@ class TestRunEpisode:
         episode = ReasoningEpisode(
             problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm, question_id="q"
         )
-        trajectory = run_episode(episode, FixedSequencePolicy())
-        names = [t.action.name for t in trajectory.transitions]
+        run_episode(episode, FixedSequencePolicy())
+        names = [t.action.name for t in episode.transitions]
         assert names == ["DECOMPOSE", "REASON_ONE_STEP", "REFINE", "TERMINATE"]
-        assert trajectory.final_answer == "7"
-        assert trajectory.transitions[-1].done is True
+        assert episode.final_answer == "7"
+        assert episode.transitions[-1].done is True
 
     def test_episode_respects_action_budget(self, chat, prm):
         episode = ReasoningEpisode(
             problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm
         )
-        trajectory = run_episode(episode, RandomPolicy(0))
-        assert 1 <= len(trajectory.transitions) <= 5
-        assert trajectory.transitions[-1].action is T
+        run_episode(episode, RandomPolicy(0))
+        assert 1 <= len(episode.transitions) <= 5
+        assert episode.transitions[-1].action is T
 
 
 class TestEvalConfig:

@@ -13,7 +13,6 @@ from qnav.prompts import (
     NUM_PLANS,
     MalformedEvaluationError,
     ParseFailure,
-    SelfEvalReport,
     format_context,
     format_subtask_progress,
     parse_plan_choice,
@@ -184,7 +183,6 @@ class TestParseSelfEval:
         report = parse_self_eval(self.FULL)
         assert report.scores == (2, 3, 0, 1, 2, 1, 3)
         assert report.missing == ()
-        assert report.reasons[0] == "modeling ok"
         assert report.state.scores == (2, 3, 0, 1, 2, 1, 3)
 
     def test_missing_aspects_default_to_zero(self):
@@ -200,7 +198,6 @@ class TestParseSelfEval:
         report = parse_self_eval("a1 score=[2] reason=[fine]\nB1 SCORE = [3]")
         assert report.scores[0] == 2
         assert report.scores[3] == 3
-        assert report.reasons[0] == "fine"
 
     def test_out_of_range_score_is_treated_missing(self):
         report = parse_self_eval("A1 score=7 reason=x\nA2 score=2 reason=y")
@@ -216,16 +213,10 @@ class TestParseSelfEval:
     def test_first_duplicate_wins(self):
         report = parse_self_eval("A1 score=1 reason=first\nA1 score=3 reason=later")
         assert report.scores[0] == 1
-        assert report.reasons[0] == "first"
 
     def test_unknown_aspect_labels_are_ignored(self):
         report = parse_self_eval("A1 score=2 ok\nD1 score=3 bogus")
         assert report.scores == (2, 0, 0, 0, 0, 0, 0)
-
-    def test_report_keeps_raw_text(self):
-        report = parse_self_eval(self.FULL)
-        assert report.raw == self.FULL
-        assert isinstance(report, SelfEvalReport)
 
 
 class TestParseSubtasksAndPlans:

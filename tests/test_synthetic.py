@@ -4,7 +4,6 @@ optimal_return is cross-checked against a recursive enumeration oracle that
 shares no code with the backward-induction implementation.
 """
 
-import json
 import math
 import random
 
@@ -108,11 +107,6 @@ class TestMakeScripted:
     def test_rejects_bad_arguments(self, bad_kwargs):
         with pytest.raises(ValueError):
             make_scripted(**{"n_states": 4, **bad_kwargs})
-
-    def test_json_round_trip(self):
-        mdp = make_scripted(5, seed=7)
-        doc = json.loads(json.dumps(mdp.to_jsonable()))
-        assert ScriptedMdp.from_jsonable(doc) == mdp
 
 
 class TestOptimalReturn:
