@@ -4,7 +4,9 @@ Values resolve as flags over config file over defaults, and every run writes
 the merged result to resolved_config.json in its output directory, so a run
 can be reproduced from that file alone. Exit codes: 0 success, 2 config or
 usage error, 3 data error (datasets, checkpoints, files), 4 gateway error,
-5 verification failure (synth-train below threshold).
+5 verification failure (synth-train below threshold). Every artifact is
+written with core.atomic_write, so a crash leaves the old file or the new
+one, never a truncated one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import typing
 from pathlib import Path
 
 from . import dqn, evalkit, synthetic
-from .core import ActionKind
+from .core import ActionKind, atomic_write
 from .env import EnvConfig, ReasoningEpisode
 from .gateway import (
     GatewayError,
@@ -182,9 +184,14 @@ def _check_seed(seed: int, key: str) -> int:
     return seed
 
 
+def _write(path: Path, data: str | bytes) -> None:
+    with atomic_write(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args, seed: int, file_cfg: dict) -> Path:
@@ -308,19 +315,16 @@ def cmd_train(args) -> int:
         )
 
     out.mkdir(parents=True, exist_ok=True)
-
     def snapshot(stats: dqn.EpisodeStats, net) -> None:
         n = stats.episode + 1
         if n % CHECKPOINT_EVERY == 0:
             payload = save_checkpoint(net, seed=seed, episodes=n)
-            (out / f"checkpoint_ep{n:05d}.json").write_bytes(payload)
+            _write(out / f"checkpoint_ep{n:05d}.json", payload)
 
     net, stats = dqn.run_training(env_factory, trainer_cfg, on_episode=snapshot)
 
-    (out / "checkpoint_final.json").write_bytes(
-        save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes)
-    )
-    (out / "reward_curve.tsv").write_text(dqn.stats_table(stats), encoding="utf-8")
+    _write(out / "checkpoint_final.json", save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes))
+    _write(out / "reward_curve.tsv", dqn.stats_table(stats))
     _write_json(out / "usage.json", {
         "input_tokens": usage.totals().input_tokens,
         "output_tokens": usage.totals().output_tokens,
@@ -434,7 +438,7 @@ def cmd_synth_train(args) -> int:
         ratio = achieved / oracle.value if oracle.value else 0.0
         ok = ratio >= threshold
         passed += int(ok)
-        (out / f"reward_curve_seed{s}.tsv").write_text(dqn.stats_table(stats), encoding="utf-8")
+        _write(out / f"reward_curve_seed{s}.tsv", dqn.stats_table(stats))
         results.append({
             "seed": s,
             "optimal_return": oracle.value,

@@ -1,12 +1,17 @@
 """Shared value types: evaluation states, navigator actions, transitions.
 
 Everything here is an immutable value object, safe to share across threads.
+atomic_write, which every artifact goes through, lives here too.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -93,3 +98,24 @@ class Transition:
     reward: float
     next_state: StateVector
     done: bool
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """A file to write path's new contents to, put in place only on success.
+
+    The file is a temp file in path's directory. On a clean exit it is synced
+    and os.replace'd over path; on an exception it is removed and path keeps
+    its old contents. A crash never leaves a truncated artifact behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

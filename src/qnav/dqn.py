@@ -6,15 +6,19 @@ Targets are the double-DQN form
     y = r + gamma * Q_target(s', argmax_a Q_online(s', a))   otherwise
 
 with a target network refreshed by full copy every fixed number of gradient
-updates.
+updates. run_training keeps as many episodes in flight as the environment
+declares (Env.max_in_flight) and feeds them all to one learner.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -25,7 +29,13 @@ log = logging.getLogger(__name__)
 
 
 class Env(Protocol):
-    """What the trainer needs from an environment."""
+    """What the trainer needs from an environment.
+
+    max_in_flight is how many episodes of this kind may run at once: 1 for
+    an env whose results depend on call order.
+    """
+
+    max_in_flight: int
 
     def reset(self) -> StateVector: ...
 
@@ -210,6 +220,34 @@ def select_action(
     return masked_argmax(net.forward(encode_state(state)), ordered)
 
 
+@dataclass(slots=True, eq=False)
+class _Run:
+    """One episode in flight: its env, its pending reset or step, its totals."""
+
+    episode: int
+    lr: float
+    epsilon: float
+    env: Env | None = None
+    pending: Callable[[], Any] | None = None  # its reset's result until action is set, then its step's
+    state: StateVector | None = None
+    action: ActionKind | None = None
+    episode_return: float = 0.0
+    discounted: float = 0.0
+    steps: int = 0
+    losses: list[float] = field(default_factory=list)
+
+    def stats(self) -> EpisodeStats:
+        return EpisodeStats(
+            episode=self.episode,
+            episode_return=self.episode_return,
+            discounted_return=self.discounted,
+            steps=self.steps,
+            loss=float(np.mean(self.losses)) if self.losses else 0.0,
+            epsilon=self.epsilon,
+            lr=self.lr,
+        )
+
+
 def run_training(
     env_factory: Callable[[random.Random], Env],
     cfg: TrainerConfig,
@@ -221,6 +259,23 @@ def run_training(
     env_factory is called once per episode with the trainer's RNG so question
     or start-state sampling shares the seed. Episodes that raise
     EpisodeFailure are logged and skipped; training continues.
+
+    K = max_in_flight of the first env runs K episodes at once, each in a
+    slot, and visits the slots round-robin in a fixed order. For a slot, the
+    trainer waits for its pending reset or step, pushes the transition and
+    runs one update, then either starts the slot's next episode (a finished
+    one) or picks its next action and submits the step. Every RNG draw, push,
+    update and episode start is made on this thread in that order, so a run
+    is deterministic at any K if the env's results do not depend on timing;
+    at K = 1 every call runs on this thread. Episodes take their number and
+    lr by start order; stats and on_episode come in episode order. Any
+    exception other than EpisodeFailure, or Ctrl-C, stops new work, waits
+    for the resets and steps already running, and propagates.
+
+    on_episode(stats, net) for episode n runs as soon as episodes 0..n have
+    all finished, with the live online net: it holds every update made so
+    far. At K = 1 that is the net after n + 1 episodes; at K > 1 it has also
+    learned from the steps later episodes took while an earlier one ran.
     """
     rng = random.Random(cfg.seed)
     online = DuelingNet.initialize(cfg.seed, cfg.widths)
@@ -228,49 +283,86 @@ def run_training(
     adam = Adam(online)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     stats: list[EpisodeStats] = []
+    finished: dict[int, EpisodeStats] = {}  # episodes that ended before an earlier one
     global_step = 0
     updates = 0
 
-    for episode in range(cfg.episodes):
-        lr = lr_at(cfg, episode)
-        episode_return = 0.0
-        discounted = 0.0
-        steps = 0
-        losses: list[float] = []
-        epsilon = epsilon_at(cfg, global_step)
-        try:
-            env = env_factory(rng)
-            state = env.reset()
-            done = False
-            while not done:
-                epsilon = epsilon_at(cfg, global_step)
-                action = select_action(online, state, env.legal_actions(), epsilon, rng)
-                next_state, reward, done = env.step(action)
-                buffer.push(Transition(state, action, reward, next_state, done))
-                global_step += 1
-                episode_return += reward
-                discounted += cfg.gamma**steps * reward
-                steps += 1
-                if len(buffer) >= cfg.batch_size:
-                    losses.append(train_step(online, target, adam, buffer.sample(cfg.batch_size, rng), cfg.gamma, lr))
-                    updates += 1
-                    if updates % cfg.target_sync_interval == 0:
-                        target.load_state(online)
-                state = next_state
-        except EpisodeFailure as exc:
-            log.warning("episode %d aborted: %s", episode, exc)
-        entry = EpisodeStats(
-            episode=episode,
-            episode_return=episode_return,
-            discounted_return=discounted,
-            steps=steps,
-            loss=float(np.mean(losses)) if losses else 0.0,
-            epsilon=epsilon,
-            lr=lr,
-        )
-        stats.append(entry)
-        if on_episode is not None:
-            on_episode(entry, online)
+    def finish(run: _Run) -> None:
+        finished[run.episode] = run.stats()
+        while len(stats) in finished:
+            entry = finished.pop(len(stats))
+            stats.append(entry)
+            if on_episode is not None:
+                on_episode(entry, online)
+
+    def episodes() -> Iterator[_Run]:
+        """The episodes in start order, each with its env made."""
+        for episode in range(cfg.episodes):
+            run = _Run(episode, lr_at(cfg, episode), epsilon_at(cfg, global_step))
+            try:
+                run.env = env_factory(rng)
+            except EpisodeFailure as exc:
+                log.warning("episode %d aborted: %s", episode, exc)
+                finish(run)
+                continue
+            yield run
+
+    starts = episodes()
+    slots = list(itertools.islice(starts, 1))
+    k = slots[0].env.max_in_flight if slots else 1
+    log.info("episodes in flight: %d", k)
+    pool = ThreadPoolExecutor(k, thread_name_prefix="qnav-train") if k > 1 else None
+
+    def submit(fn: Callable[..., Any], *args: Any) -> Callable[[], Any]:
+        """fn(*args) on a pool thread; at K = 1, on this thread once its result is asked for."""
+        return pool.submit(fn, *args).result if pool is not None else partial(fn, *args)
+
+    try:
+        slots += itertools.islice(starts, k - 1)
+        for run in slots:
+            run.pending = submit(run.env.reset)
+        i = 0
+        while slots:
+            run = slots[i]
+            ended = False
+            try:
+                if run.action is None:
+                    run.state = run.pending()
+                else:
+                    next_state, reward, ended = run.pending()
+                    buffer.push(Transition(run.state, run.action, reward, next_state, ended))
+                    global_step += 1
+                    run.episode_return += reward
+                    run.discounted += cfg.gamma**run.steps * reward
+                    run.steps += 1
+                    if len(buffer) >= cfg.batch_size:
+                        run.losses.append(
+                            train_step(online, target, adam, buffer.sample(cfg.batch_size, rng), cfg.gamma, run.lr)
+                        )
+                        updates += 1
+                        if updates % cfg.target_sync_interval == 0:
+                            target.load_state(online)
+                    run.state = next_state
+                if not ended:
+                    run.epsilon = epsilon_at(cfg, global_step)
+                    run.action = select_action(online, run.state, run.env.legal_actions(), run.epsilon, rng)
+                    run.pending = submit(run.env.step, run.action)
+            except EpisodeFailure as exc:
+                log.warning("episode %d aborted: %s", run.episode, exc)
+                ended = True
+            if ended:
+                finish(run)
+                run = next(starts, None)
+                if run is None:
+                    del slots[i]
+                    i -= 1
+                else:
+                    run.pending = submit(run.env.reset)
+                    slots[i] = run
+            i = i + 1 if i + 1 < len(slots) else 0
+    finally:
+        if pool is not None:
+            pool.shutdown()  # waits for the resets and steps still running
     return online, stats
 
 

@@ -324,6 +324,11 @@ class ReasoningEpisode:
         self.failed = False
         return state
 
+    @property
+    def max_in_flight(self) -> int:
+        """Episodes the trainer may run at once: as many as the chat backend takes calls."""
+        return self.chat.max_in_flight
+
     def legal_actions(self) -> list[ActionKind]:
         assert self.ctx is not None, "reset() first"
         return sorted(legal_actions(self.ctx, self.cfg), key=int)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 
 from .answers import VoteResult, answers_equivalent, extract_answer, majority_vote
-from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, encode_state
+from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, atomic_write, encode_state
 from .dqn import masked_argmax
 from .env import EnvConfig, ReasoningEpisode
 from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayError, PrmBackend, Usage, UsageLog
@@ -80,7 +80,7 @@ def load_dataset(path: str | Path) -> list[QuestionRecord]:
 
 
 def save_dataset(records: Sequence[QuestionRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for r in records:
             fh.write(
                 json.dumps(

@@ -147,6 +147,8 @@ def greedy_return(mdp: ScriptedMdp, net, gamma: float) -> float:
 class SyntheticEpisode:
     """Trainer-protocol episode over a ScriptedMdp, uniform random start."""
 
+    max_in_flight = 1  # a step costs microseconds; a thread hand-off would cost more
+
     def __init__(self, mdp: ScriptedMdp, rng: random.Random):
         self.mdp = mdp
         self._start = rng.randrange(mdp.n_states)

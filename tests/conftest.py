@@ -5,6 +5,10 @@ single backend can serve self-evaluation, all four reasoning blocks, and the
 answer-producing terminate call for a small arithmetic problem (3 + 4).
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from qnav.core import DatasetKind
@@ -72,6 +76,42 @@ def standard_rules():
         ScriptedRule("'YES/NO'", "YES"),
         ScriptedRule("'The answer is yes' or 'The answer is no'", "The answer is yes."),
     )
+
+
+class PooledScriptedChat(ScriptedChatBackend):
+    """Static scripted rules answer the same in any call order, so this
+    backend allows max_in_flight calls at once. Each call sleeps briefly so
+    concurrent episodes interleave; peak records the most calls seen at once."""
+
+    def __init__(self, rules, max_in_flight=4):
+        super().__init__(rules)
+        self.max_in_flight = max_in_flight
+        self.active = 0
+        self.peak = 0
+        self._count = threading.Lock()
+
+    def complete(self, request):
+        with self._count:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.001)
+            return super().complete(request)
+        finally:
+            with self._count:
+                self.active -= 1
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads far more often than usual, so a lost update between
+    concurrent episodes (say, in the shared usage log) would show."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.fixture

@@ -5,11 +5,12 @@ deterministic and touch only pytest temp directories.
 """
 
 import json
+import logging
 
 import pytest
 
 from conftest import standard_rules
-from qnav import cli, evalkit, gateway
+from qnav import cli, core, evalkit, gateway
 from qnav.core import DatasetKind
 from qnav.evalkit import QuestionRecord, save_dataset
 from qnav.net import DuelingNet, load_checkpoint, save_checkpoint
@@ -375,7 +376,8 @@ class TestConfigHandling:
 
 
 class TestTrain:
-    def test_trains_and_writes_artifacts(self, tmp_path, capsys):
+    def test_trains_and_writes_artifacts(self, tmp_path, capsys, caplog):
+        caplog.set_level(logging.INFO, logger="qnav.dqn")
         doc = scripted_config(
             seed=5,
             trainer={
@@ -413,6 +415,7 @@ class TestTrain:
         assert resolved["trainer"]["widths"] == [6, 5]
         assert resolved["env"]["max_actions"] == 5
 
+        assert "episodes in flight: 1" in caplog.messages  # a scripted backend serves one call at a time
         stdout = capsys.readouterr().out
         assert "trained 12 episodes (seed 5); mean return " in stdout
         assert not list(out.glob("checkpoint_ep*.json"))
@@ -452,6 +455,29 @@ class TestTrain:
         )
         assert code == cli.EXIT_DATA
         assert "hard set is empty" in capsys.readouterr().err
+
+
+class TestCrashSafeArtifacts:
+    """A write that fails midway keeps the previous artifact and leaves no temp file."""
+
+    def test_train_whose_checkpoint_write_fails_keeps_the_previous_one(self, tmp_path, capsys, monkeypatch):
+        data = write_dataset(tmp_path, [numeric_question("hard", "9")])
+        out = tmp_path / "train"
+
+        def train(seed):
+            cfg = write_config(tmp_path, scripted_config(seed=seed, trainer={"batch_size": 4, "buffer_capacity": 8}))
+            return cli.main(["train", "--config", cfg, "--hard-set", data, "--episodes", "3", "--out-dir", str(out)])
+
+        assert train(1) == cli.EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(core.os, "fsync", disk_full)
+        assert train(2) == cli.EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestEval:

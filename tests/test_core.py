@@ -15,6 +15,7 @@ from qnav.core import (
     ReasoningContext,
     StateVector,
     Transition,
+    atomic_write,
     encode_state,
 )
 
@@ -129,3 +130,31 @@ def test_star_import_exports_every_public_name():
     assert exported == set(qnav.__all__)
     for name in qnav.__all__:
         assert namespace[name] is getattr(qnav, name)
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_on_success(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text("old")
+        with atomic_write(path) as fh:
+            fh.write("new")
+        assert path.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_failure_midway_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"half of the new")
+                raise RuntimeError("crash while writing")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    def test_failure_leaves_no_file_where_there_was_none(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_write(tmp_path / "a.tsv") as fh:
+                fh.write("episode\n")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+

@@ -1,7 +1,12 @@
 """Trainer tests: hand TD targets, schedules, buffer semantics, determinism."""
 
 import hashlib
+import itertools
+import logging
 import random
+import signal
+import threading
+import time
 from collections import deque
 
 import numpy as np
@@ -9,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PooledScriptedChat, standard_rules
+from qnav import dqn
 from qnav.core import ActionKind, EpisodeFailure, StateVector, Transition, encode_state
 from qnav.dqn import (
     STATS_FIELDS,
@@ -26,8 +33,10 @@ from qnav.dqn import (
     td_targets,
     train_step,
 )
+from qnav.env import ReasoningEpisode
+from qnav.gateway import ScriptedPrm, UsageLog
 from qnav.net import PARAM_KEYS, DuelingNet, save_checkpoint
-from qnav.synthetic import make_env_factory, make_scripted
+from qnav.synthetic import SyntheticEpisode, greedy_return, make_env_factory, make_scripted, optimal_return
 
 
 def make_transition(rng, done=False):
@@ -397,6 +406,217 @@ class TestRunTraining:
         _, stats = run_training(make_env_factory(mdp), self.small_cfg(episodes=10))
         eps = [s.epsilon for s in stats]
         assert all(a >= b for a, b in zip(eps, eps[1:]))
+
+
+class PacedEpisode:
+    """Trainer-protocol episode of `length` steps that declares
+    max_in_flight = 4. Each reset and step sleeps briefly, so episodes in
+    flight overlap; results depend only on the episode and the actions, never
+    on timing. `fail` is "reset" or a step number, where an EpisodeFailure is
+    raised, or a callable run inside the first step. `runs` counts the resets
+    and steps running at once and lists the episodes in the order they ended."""
+
+    max_in_flight = 4
+
+    def __init__(self, number, length, runs, fail=None, pause=0.002):
+        self.number, self.length, self.runs, self.fail, self.pause = number, length, runs, fail, pause
+        self.taken = 0
+
+    def _state(self):
+        return StateVector(scores=tuple((self.number + self.taken + i) % 4 for i in range(7)))
+
+    def _outage(self):
+        raise EpisodeFailure("scripted outage")
+
+    def _call(self, hook, body):
+        with self.runs.lock:
+            self.runs.active += 1
+            self.runs.peak = max(self.runs.peak, self.runs.active)
+        try:
+            time.sleep(self.pause)
+            if hook is not None:
+                hook()
+            return body()
+        finally:
+            with self.runs.lock:
+                self.runs.active -= 1
+
+    def reset(self):
+        return self._call(self._outage if self.fail == "reset" else None, self._state)
+
+    def legal_actions(self):
+        return [ActionKind.REASON_ONE_STEP, ActionKind.TERMINATE]
+
+    def step(self, action):
+        def body():
+            done = action is ActionKind.TERMINATE or self.taken == self.length
+            if done:
+                self.runs.ended.append(self.number)
+            return self._state(), 0.1 * self.taken + 0.01 * int(action), done
+
+        self.taken += 1
+        if callable(self.fail):
+            hook = self.fail if self.taken == 1 else None
+        else:
+            hook = self._outage if self.fail == self.taken else None
+        return self._call(hook, body)
+
+
+class Runs:
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.ended = []
+
+
+def paced_factory(runs, failures=None, pause=0.002):
+    """Episode n gets 1-3 steps drawn from the trainer's RNG and fails as failures[n] says."""
+    numbers = itertools.count()
+
+    def factory(rng):
+        n = next(numbers)
+        return PacedEpisode(n, rng.randrange(1, 4), runs, (failures or {}).get(n), pause)
+
+    return factory
+
+
+def train_workers():
+    return [t for t in threading.enumerate() if t.name.startswith("qnav-train")]
+
+
+class TestEpisodesInFlight:
+    """K = env.max_in_flight > 1: one learner fed by K episodes at once."""
+
+    def cfg(self, **overrides):
+        base = dict(episodes=24, batch_size=8, buffer_capacity=32, target_sync_interval=5, lr_decay_every=5, seed=1)
+        base.update(overrides)
+        return TrainerConfig(**base)
+
+    def test_stats_and_callbacks_come_in_episode_order(self):
+        runs = Runs()
+        seen = []
+        _, stats = run_training(
+            paced_factory(runs), self.cfg(), on_episode=lambda entry, net: seen.append(entry.episode)
+        )
+        assert runs.ended != sorted(runs.ended)  # episodes did end out of order
+        assert 1 < runs.peak <= 4
+        assert seen == [s.episode for s in stats] == list(range(24))
+        assert [s.lr for s in stats] == [lr_at(self.cfg(), n) for n in range(24)]  # lr by start order
+        assert all(s.loss > 0.0 for s in stats[8:])
+        assert not train_workers()
+
+    def test_callback_net_holds_every_update_made_so_far(self, monkeypatch, caplog):
+        # What a checkpoint taken in on_episode means at K > 1: the live net
+        # once episodes 0..n have all finished, which has also learned from
+        # the steps later episodes took meanwhile.
+        caplog.set_level(logging.INFO, logger="qnav.dqn")
+        after_update = []
+        real_train_step = dqn.train_step
+
+        def train_step(online, *args):
+            loss = real_train_step(online, *args)
+            after_update.append(online.flat.copy())
+            return loss
+
+        monkeypatch.setattr(dqn, "train_step", train_step)
+        seen = []
+        cfg = self.cfg()
+        _, stats = run_training(
+            paced_factory(Runs()), cfg,
+            on_episode=lambda entry, net: seen.append((entry.episode, len(after_update), net.flat.copy())),
+        )
+        assert "episodes in flight: 4" in caplog.messages
+        after_update.insert(0, DuelingNet.initialize(cfg.seed, cfg.widths).flat)
+        ahead = 0
+        for n, updates, flat in seen:
+            assert np.array_equal(flat, after_update[updates])
+            own = sum(s.steps for s in stats[: n + 1]) - cfg.batch_size + 1
+            assert updates >= own
+            ahead += updates > own
+        assert ahead  # some callback nets learned from steps of later episodes
+
+    def test_runs_repeat_exactly(self):
+        first = run_training(paced_factory(Runs()), self.cfg())
+        second = run_training(paced_factory(Runs()), self.cfg())
+        assert first[1] == second[1]
+        assert save_checkpoint(first[0], seed=1, episodes=24) == save_checkpoint(second[0], seed=1, episodes=24)
+
+    def test_episode_failure_aborts_only_its_own_episode(self):
+        runs = Runs()
+        # episode 1 fails in its reset, episode 2 in its first step
+        _, stats = run_training(paced_factory(runs, {1: "reset", 2: 1}), self.cfg(episodes=12))
+        assert [s.episode for s in stats] == list(range(12))
+        assert [(s.steps, s.episode_return) for s in stats[1:3]] == [(0, 0.0), (0, 0.0)]
+        assert sorted(runs.ended) == [n for n in range(12) if n not in (1, 2)]
+
+    def test_crash_propagates_and_leaves_no_worker(self):
+        error = RuntimeError("env crashed")
+
+        def crash():
+            raise error
+
+        runs = Runs()
+        # The other episodes are still stepping when episode 5 crashes.
+        with pytest.raises(RuntimeError) as excinfo:
+            run_training(paced_factory(runs, {5: crash}, pause=0.05), self.cfg(episodes=40))
+        assert excinfo.value is error
+        assert runs.active == 0  # the running resets and steps finished first
+        assert len(runs.ended) < 40
+        assert not train_workers()
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_ctrl_c_propagates_and_leaves_no_worker(self):
+        finished = []
+
+        def ctrl_c():
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)  # this step is still running when the trainer sees Ctrl-C
+            finished.append(True)
+
+        runs = Runs()
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_training(paced_factory(runs, {5: ctrl_c}, pause=0.05), self.cfg(episodes=40))
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert finished and runs.active == 0
+        assert len(runs.ended) < 40
+        assert not train_workers()
+
+    def test_llm_runs_are_byte_identical_across_thread_timings(self, request, sample_questions):
+        def train():
+            chat = PooledScriptedChat(standard_rules(), max_in_flight=4)
+            prm = ScriptedPrm(rules=[("Step 2", 0.8), ("Step 1", 0.3)], default=0.6)
+            usage = UsageLog()
+
+            def factory(rng):
+                record = sample_questions[rng.randrange(len(sample_questions))]
+                return ReasoningEpisode(record.question, record.kind, chat, prm, question_id=record.id,
+                                        usage_log=usage)
+
+            net, stats = run_training(factory, self.cfg(episodes=16))
+            assert 1 < chat.peak <= 4  # concurrent, and never above the chat backend's cap
+            return save_checkpoint(net, seed=1, episodes=16), stats_table(stats), usage.totals()
+
+        first = train()
+        second = train()
+        request.getfixturevalue("fast_thread_switching")
+        third = train()
+        assert first == second == third
+        assert not train_workers()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synthetic_convergence_at_four_in_flight(self, seed):
+        class FourInFlight(SyntheticEpisode):
+            max_in_flight = 4
+
+        mdp = make_scripted(n_states=8, sharpness=0.7, seed=0)
+        cfg = TrainerConfig(seed=seed)
+        net, _ = run_training(lambda rng: FourInFlight(mdp, rng), cfg)
+        ratio = greedy_return(mdp, net, cfg.gamma) / optimal_return(mdp, cfg.gamma).value
+        assert ratio >= 0.95
 
 
 class TestStatsTable:

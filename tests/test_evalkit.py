@@ -3,7 +3,6 @@
 import json
 import random
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +37,7 @@ from qnav.gateway import (
 )
 from qnav.net import DuelingNet
 
-from conftest import standard_rules
+from conftest import PooledScriptedChat, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -108,6 +107,17 @@ class TestDatasetIO:
 
 def record(qid, question, answer, kind=NUM):
     return QuestionRecord(id=qid, question=question, answer=answer, kind=kind)
+
+
+def test_save_dataset_failing_midway_keeps_the_previous_file(tmp_path, sample_questions):
+    path = tmp_path / "hard_set.jsonl"
+    save_dataset(sample_questions, path)
+    before = path.read_bytes()
+    broken = QuestionRecord(id="q3", question="What is 1 + 1?", answer="2", kind=None)
+    with pytest.raises(AttributeError):  # no kind.value, after two records were written
+        save_dataset([*sample_questions, broken], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["hard_set.jsonl"]
 
 
 class TestMineHard:
@@ -380,30 +390,6 @@ class TestEvaluate:
         }
 
 
-class PooledScriptedChat(ScriptedChatBackend):
-    """Static scripted rules answer the same in any call order, so this
-    backend allows max_in_flight calls at once. Each call sleeps briefly so
-    concurrent trials interleave; peak records the most calls seen at once."""
-
-    def __init__(self, rules, max_in_flight=4):
-        super().__init__(rules)
-        self.max_in_flight = max_in_flight
-        self.active = 0
-        self.peak = 0
-        self._count = threading.Lock()
-
-    def complete(self, request):
-        with self._count:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            time.sleep(0.001)
-            return super().complete(request)
-        finally:
-            with self._count:
-                self.active -= 1
-
-
 def yes_no_unanswerable_rules():
     """standard_rules without the yes/no endings: a yes/no trial fails at Terminate."""
     return [r for r in standard_rules() if "YES/NO" not in r.contains and "answer is yes" not in r.contains]
@@ -416,18 +402,6 @@ CONCURRENT_DATASET = (
     record("c4", "Box the value of 3 + 4.", "7", DatasetKind.MATH_BOXED),
     record("c5", "What is 3 + 5?", "8"),
 )
-
-
-@pytest.fixture
-def fast_thread_switching():
-    """Switch threads far more often than usual, so a lost update between
-    concurrent trials (say, in the shared usage log) would show."""
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(previous)
 
 
 class TestConcurrentEvalAndMining:
