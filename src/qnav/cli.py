@@ -23,9 +23,11 @@ import types
 import typing
 from pathlib import Path
 
+from requests.adapters import DEFAULT_POOLSIZE
+
 from . import dqn, evalkit, synthetic
 from .core import ActionKind, atomic_write
-from .env import EnvConfig, ReasoningEpisode
+from .env import EnvConfig, ReasoningEpisode, episodes_in_flight
 from .gateway import (
     GatewayError,
     OpenAIChatBackend,
@@ -35,6 +37,7 @@ from .gateway import (
     UsageLog,
     WireConfig,
     WirePrm,
+    pooled_session,
 )
 from .net import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -213,14 +216,18 @@ def build_chat_backend(cfg: dict) -> tuple[object, bool]:
     raise ConfigError(f"unknown gateway backend {kind!r}")
 
 
-def build_prm_backend(cfg: dict) -> tuple[object, bool]:
-    """(backend, offline) from a prm config section."""
+def build_prm_backend(cfg: dict, in_flight: int = DEFAULT_POOLSIZE) -> tuple[object, bool]:
+    """(backend, offline) from a prm config section.
+
+    in_flight is how many score calls the command may make at once; a wire
+    client pools that many connections.
+    """
     kind = cfg.get("backend", "scripted")
     fields = {k: v for k, v in cfg.items() if k != "backend"}
     if kind == "scripted":
         return _from_section(ScriptedPrm, fields, "prm"), True
     if kind == "wire":
-        return WirePrm(_from_section(PrmWireConfig, fields, "prm")), False
+        return WirePrm(_from_section(PrmWireConfig, fields, "prm"), pooled_session(in_flight)), False
     raise ConfigError(f"unknown prm backend {kind!r}")
 
 
@@ -298,7 +305,8 @@ def cmd_train(args) -> int:
     gateway_cfg = _gateway_section(args, file_cfg)
     prm_cfg = _section(file_cfg, "prm")
     chat, _ = build_chat_backend(gateway_cfg)
-    prm, _ = build_prm_backend(prm_cfg)
+    # Each episode in flight scores with the PRM at most once at a time.
+    prm, _ = build_prm_backend(prm_cfg, episodes_in_flight(chat))
     env_cfg = _env_config(file_cfg)
     trainer_cfg = _trainer_config(args, file_cfg, seed)
 

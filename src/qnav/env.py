@@ -285,6 +285,17 @@ def step(
     )
 
 
+def episodes_in_flight(chat: ChatBackend) -> int:
+    """Training episodes to keep in flight on chat: 2C - 1 for a cap of C calls.
+
+    The trainer waits on its episodes in a fixed order, so up to C - 1 that
+    are done with their step can sit parked behind the one it waits on; the
+    other C still keep every chat slot busy. The backend holds its calls at
+    C itself. C = 1 gives 1: the sequential trainer.
+    """
+    return 2 * chat.max_in_flight - 1
+
+
 @dataclass
 class ReasoningEpisode:
     """Trainer/eval-facing wrapper running one question to completion.
@@ -326,8 +337,8 @@ class ReasoningEpisode:
 
     @property
     def max_in_flight(self) -> int:
-        """Episodes the trainer may run at once: as many as the chat backend takes calls."""
-        return self.chat.max_in_flight
+        """Episodes the trainer may run at once: episodes_in_flight(chat)."""
+        return episodes_in_flight(self.chat)
 
     def legal_actions(self) -> list[ActionKind]:
         assert self.ctx is not None, "reset() first"

@@ -84,8 +84,9 @@ class ChatExchange:
 
 
 class ChatBackend(Protocol):
-    # How many complete() calls may run at once; evaluate and mine_hard size
-    # their worker pools from it.
+    # How many complete() calls may run at once. The backend enforces it: a
+    # complete() call waits while max_in_flight others are running. evaluate
+    # and mine_hard size their worker pools from it, training its episodes.
     max_in_flight: int
 
     def complete(self, request: ChatRequest) -> ChatExchange: ...
@@ -122,6 +123,19 @@ def _check_retry_policy(cfg: WireConfig | PrmWireConfig) -> None:
         raise ValueError("max_attempts must be at least 1")
     if cfg.backoff_base_s < 0:
         raise ValueError("backoff_base_s must not be negative")
+
+
+def pooled_session(size: int) -> requests.Session:
+    """A requests.Session keeping up to size connections per host.
+
+    requests keeps 10 by default; with more calls in flight, the surplus
+    connections are discarded and reopened.
+    """
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=size)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
 
 
 def _post_json(
@@ -186,14 +200,7 @@ class OpenAIChatBackend:
                  sleep: Callable[[float], None] = time.sleep):
         self.cfg = cfg
         self.max_in_flight = cfg.max_in_flight
-        if session is None:
-            # requests pools 10 connections per host by default; with more calls
-            # in flight, the surplus connections are discarded and reopened.
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=cfg.max_in_flight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
+        self._session = pooled_session(cfg.max_in_flight) if session is None else session
         self._sleep = sleep
         self._slots = threading.BoundedSemaphore(cfg.max_in_flight)
 

@@ -80,8 +80,9 @@ def standard_rules():
 
 class PooledScriptedChat(ScriptedChatBackend):
     """Static scripted rules answer the same in any call order, so this
-    backend allows max_in_flight calls at once. Each call sleeps briefly so
-    concurrent episodes interleave; peak records the most calls seen at once."""
+    backend allows max_in_flight calls at once and, like every ChatBackend,
+    makes further callers wait. Each call sleeps briefly so concurrent
+    episodes interleave; peak records the most calls seen running at once."""
 
     def __init__(self, rules, max_in_flight=4):
         super().__init__(rules)
@@ -89,17 +90,19 @@ class PooledScriptedChat(ScriptedChatBackend):
         self.active = 0
         self.peak = 0
         self._count = threading.Lock()
+        self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def complete(self, request):
-        with self._count:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            time.sleep(0.001)
-            return super().complete(request)
-        finally:
+        with self._slots:
             with self._count:
-                self.active -= 1
+                self.active += 1
+                self.peak = max(self.peak, self.active)
+            try:
+                time.sleep(0.001)
+                return super().complete(request)
+            finally:
+                with self._count:
+                    self.active -= 1
 
 
 @pytest.fixture

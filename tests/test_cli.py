@@ -6,6 +6,7 @@ deterministic and touch only pytest temp directories.
 
 import json
 import logging
+import random
 
 import pytest
 
@@ -419,6 +420,30 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "trained 12 episodes (seed 5); mean return " in stdout
         assert not list(out.glob("checkpoint_ep*.json"))
+
+    def test_wire_prm_pools_a_connection_per_episode_in_flight(self, tmp_path, monkeypatch):
+        # A chat cap of 6 trains 11 episodes at once, each with a PRM call in flight.
+        class Stop(Exception):
+            pass
+
+        envs = []
+
+        def run_training(env_factory, cfg, on_episode=None):
+            envs.append(env_factory(random.Random(0)))
+            raise Stop
+
+        monkeypatch.setattr(cli.dqn, "run_training", run_training)
+        cfg = write_config(tmp_path, {
+            "gateway": {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m", "max_in_flight": 6},
+            "prm": {"backend": "wire", "base_url": "http://localhost:9"},
+        })
+        data = write_dataset(tmp_path, [numeric_question("hard", "9")])
+        with pytest.raises(Stop):
+            cli.main(["train", "--config", cfg, "--hard-set", data, "--out-dir", str(tmp_path / "o")])
+        (env,) = envs
+        assert env.max_in_flight == 11
+        adapter = env.prm._session.get_adapter("http://localhost:9/score")
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 11
 
     def test_resolved_config_reproduces_the_run(self, tmp_path):
         doc = scripted_config(

@@ -34,7 +34,14 @@ from qnav.dqn import (
     train_step,
 )
 from qnav.env import ReasoningEpisode
-from qnav.gateway import ScriptedPrm, UsageLog
+from qnav.gateway import (
+    ChatRequest,
+    OpenAIChatBackend,
+    ScriptedChatBackend,
+    ScriptedPrm,
+    UsageLog,
+    WireConfig,
+)
 from qnav.net import PARAM_KEYS, DuelingNet, save_checkpoint
 from qnav.synthetic import SyntheticEpisode, greedy_return, make_env_factory, make_scripted, optimal_return
 
@@ -485,6 +492,44 @@ def train_workers():
     return [t for t in threading.enumerate() if t.name.startswith("qnav-train")]
 
 
+class _Completion:
+    status_code = 200
+    text = ""
+
+    def __init__(self, exchange):
+        self.exchange = exchange
+
+    def json(self):
+        return {
+            "choices": [{"message": {"content": self.exchange.text}}],
+            "usage": {"prompt_tokens": self.exchange.usage.input_tokens,
+                      "completion_tokens": self.exchange.usage.output_tokens},
+        }
+
+
+class ScriptedSession:
+    """Stands in for requests.Session in front of OpenAIChatBackend: each POST
+    pauses briefly, then answers from the standard scripted rules; peak is
+    the most POSTs seen at once."""
+
+    def __init__(self):
+        self.rules = ScriptedChatBackend(standard_rules())
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.002)
+            return _Completion(self.rules.complete(ChatRequest(json["messages"][0]["content"])))
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
 class TestEpisodesInFlight:
     """K = env.max_in_flight > 1: one learner fed by K episodes at once."""
 
@@ -607,16 +652,49 @@ class TestEpisodesInFlight:
         assert first == second == third
         assert not train_workers()
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_synthetic_convergence_at_four_in_flight(self, seed):
-        class FourInFlight(SyntheticEpisode):
-            max_in_flight = 4
+    def test_wire_chat_keeps_its_cap_with_surplus_episodes(self, caplog, sample_questions):
+        # A cap of 2 chat calls gives 3 episodes in flight; the backend makes the third wait.
+        caplog.set_level(logging.INFO, logger="qnav.dqn")
+
+        def train():
+            session = ScriptedSession()
+            chat = OpenAIChatBackend(
+                WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
+            )
+            prm = ScriptedPrm(rules=[("Step 2", 0.8), ("Step 1", 0.3)], default=0.6)
+
+            def factory(rng):
+                record = sample_questions[rng.randrange(len(sample_questions))]
+                return ReasoningEpisode(record.question, record.kind, chat, prm, question_id=record.id)
+
+            net, stats = run_training(factory, self.cfg(episodes=16))
+            assert session.peak == 2  # both chat slots busy at once, never a third POST
+            return save_checkpoint(net, seed=1, episodes=16), stats_table(stats)
+
+        assert train() == train()
+        assert caplog.messages.count("episodes in flight: 3") == 2
+        assert not train_workers()
+
+    @staticmethod
+    def synthetic_ratio(in_flight, seed):
+        """greedy/oracle return after training on the synthetic MDP with in_flight episodes at once."""
+
+        class InFlight(SyntheticEpisode):
+            max_in_flight = in_flight
 
         mdp = make_scripted(n_states=8, sharpness=0.7, seed=0)
         cfg = TrainerConfig(seed=seed)
-        net, _ = run_training(lambda rng: FourInFlight(mdp, rng), cfg)
-        ratio = greedy_return(mdp, net, cfg.gamma) / optimal_return(mdp, cfg.gamma).value
-        assert ratio >= 0.95
+        net, _ = run_training(lambda rng: InFlight(mdp, rng), cfg)
+        return greedy_return(mdp, net, cfg.gamma) / optimal_return(mdp, cfg.gamma).value
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synthetic_convergence_at_four_in_flight(self, seed):
+        assert self.synthetic_ratio(4, seed) >= 0.95
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synthetic_convergence_at_seven_in_flight(self, seed):
+        # Actions come from a net up to 6 updates old.
+        assert self.synthetic_ratio(7, seed) >= 0.95
 
 
 class TestStatsTable:
