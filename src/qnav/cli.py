@@ -23,8 +23,6 @@ import types
 import typing
 from pathlib import Path
 
-from requests.adapters import DEFAULT_POOLSIZE
-
 from . import dqn, evalkit, synthetic
 from .core import ActionKind, atomic_write
 from .env import EnvConfig, ReasoningEpisode, episodes_in_flight
@@ -39,7 +37,7 @@ from .gateway import (
     WirePrm,
     pooled_session,
 )
-from .net import CheckpointError, load_checkpoint, save_checkpoint
+from .net import CheckpointError, DuelingNet, load_checkpoint, save_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -197,6 +195,15 @@ def _write_json(path: Path, doc: dict) -> None:
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _read_checkpoint(path: str) -> tuple[DuelingNet, dict]:
+    """(net, meta) from the checkpoint file at path; an unreadable file is a CheckpointError."""
+    try:
+        payload = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
+    return load_checkpoint(payload)
+
+
 def _out_dir(args, seed: int, file_cfg: dict) -> Path:
     explicit = _pick(args.out_dir, file_cfg, "out_dir", None)
     if explicit is not None:
@@ -216,7 +223,7 @@ def build_chat_backend(cfg: dict) -> tuple[object, bool]:
     raise ConfigError(f"unknown gateway backend {kind!r}")
 
 
-def build_prm_backend(cfg: dict, in_flight: int = DEFAULT_POOLSIZE) -> tuple[object, bool]:
+def build_prm_backend(cfg: dict, in_flight: int) -> tuple[object, bool]:
     """(backend, offline) from a prm config section.
 
     in_flight is how many score calls the command may make at once; a wire
@@ -369,17 +376,14 @@ def cmd_eval(args) -> int:
     gateway_cfg = _gateway_section(args, file_cfg)
     prm_cfg = _section(file_cfg, "prm")
     chat, chat_offline = build_chat_backend(gateway_cfg)
-    prm, prm_offline = build_prm_backend(prm_cfg)
+    # Each trial in flight scores with the PRM at most once at a time.
+    prm, prm_offline = build_prm_backend(prm_cfg, chat.max_in_flight)
     env_cfg = _env_config(file_cfg)
 
     if policy_name == "nav":
         if checkpoint_path is None:
             raise ConfigError("--policy nav needs --checkpoint")
-        try:
-            payload = Path(checkpoint_path).read_bytes()
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-        net, _meta = load_checkpoint(payload)
+        net, _meta = _read_checkpoint(checkpoint_path)
         policy = evalkit.NavigatorPolicy(net)
     elif policy_name == "fixed-sequence":
         policy = evalkit.FixedSequencePolicy()
@@ -486,17 +490,11 @@ def cmd_synth_train(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        payload = Path(args.checkpoint).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-    net, meta = load_checkpoint(payload)
+    net, meta = _read_checkpoint(args.checkpoint)
     print(f"widths: {net.widths[0]}x{net.widths[1]}")
     print(f"parameters: {net.num_parameters}")
     print(f"episodes: {meta['episodes']}")
     print(f"seed: {meta['seed']}")
-    if "extra" in meta:
-        print(f"extra: {json.dumps(meta['extra'], sort_keys=True)}")
     return EXIT_OK
 
 
@@ -569,10 +567,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (evalkit.DatasetError, CheckpointError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (evalkit.DatasetError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except GatewayError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -308,7 +309,7 @@ def run_training(
             yield run
 
     starts = episodes()
-    slots = list(itertools.islice(starts, 1))
+    slots = deque(itertools.islice(starts, 1))
     k = slots[0].env.max_in_flight if slots else 1
     log.info("episodes in flight: %d", k)
     pool = ThreadPoolExecutor(k, thread_name_prefix="qnav-train") if k > 1 else None
@@ -318,12 +319,11 @@ def run_training(
         return pool.submit(fn, *args).result if pool is not None else partial(fn, *args)
 
     try:
-        slots += itertools.islice(starts, k - 1)
+        slots.extend(itertools.islice(starts, k - 1))
         for run in slots:
             run.pending = submit(run.env.reset)
-        i = 0
         while slots:
-            run = slots[i]
+            run = slots.popleft()
             ended = False
             try:
                 if run.action is None:
@@ -354,12 +354,9 @@ def run_training(
                 finish(run)
                 run = next(starts, None)
                 if run is None:
-                    del slots[i]
-                    i -= 1
-                else:
-                    run.pending = submit(run.env.reset)
-                    slots[i] = run
-            i = i + 1 if i + 1 < len(slots) else 0
+                    continue
+                run.pending = submit(run.env.reset)
+            slots.append(run)
     finally:
         if pool is not None:
             pool.shutdown()  # waits for the resets and steps still running

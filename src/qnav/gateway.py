@@ -49,11 +49,7 @@ class GatewayRetryError(GatewayError):
 
 
 class UnmatchedPromptError(GatewayError):
-    """A strict scripted backend saw a prompt no rule covers."""
-
-
-class ScriptExhaustedError(GatewayError):
-    """A scripted backend ran past the end of its response script."""
+    """A scripted backend saw a prompt no rule covers."""
 
 
 @dataclass(frozen=True)
@@ -240,13 +236,13 @@ class OpenAIChatBackend:
 class ScriptedRule:
     """Substring matcher -> canned response(s).
 
-    response may be a single string or a sequence consumed call by call (the
-    last entry repeats once exhausted). fail_times makes the rule raise
-    GatewayTransientError that many times before it answers. Nothing retries
-    a scripted backend in a CLI run: each injected failure aborts its eval
-    or train episode with an EpisodeFailure, or leaves a mined question
-    undetermined. Only code that wraps complete() in call_with_retries
-    sees a retry.
+    An empty contains matches every prompt. response may be a single string
+    or a non-empty sequence consumed call by call (the last entry repeats
+    once exhausted). fail_times makes the rule raise GatewayTransientError
+    that many times before it answers. Nothing retries a scripted backend in
+    a CLI run: each injected failure aborts its eval or train episode with an
+    EpisodeFailure, or leaves a mined question undetermined. Only code that
+    wraps complete() in call_with_retries sees a retry.
     """
 
     contains: str
@@ -254,11 +250,13 @@ class ScriptedRule:
     fail_times: int = 0
     _cursor: int = field(default=0, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.response, str) and not self.response:
+            raise ValueError("response must not be empty")
+
     def next_response(self) -> str:
         if isinstance(self.response, str):
             return self.response
-        if not self.response:
-            raise ScriptExhaustedError(f"rule {self.contains!r} has no responses")
         idx = min(self._cursor, len(self.response) - 1)
         self._cursor += 1
         return self.response[idx]
@@ -270,32 +268,21 @@ def _word_usage(prompt: str, text: str) -> Usage:
 
 
 class ScriptedChatBackend:
-    """Deterministic chat backend answering from rules or a fixed script.
+    """Deterministic chat backend answering from ordered rules.
 
-    With a script, responses are returned in order regardless of the prompt
-    and running out raises. Otherwise the first matching rule answers; in
-    strict mode an unmatched prompt raises, else default_response is used.
-    Every exchange is appended to call_log.
+    The first rule whose contains occurs in the prompt answers, and a prompt
+    no rule matches raises UnmatchedPromptError. A last rule with an empty
+    contains is the catch-all reply. Every exchange is appended to call_log.
 
-    The script, response sequences and fail_times are consumed in call order,
-    so max_in_flight is 1: evaluate and mine_hard call a scripted backend one
+    Response sequences and fail_times are consumed in call order, so
+    max_in_flight is 1: evaluate and mine_hard call a scripted backend one
     call at a time, and offline runs stay byte-identical.
     """
 
     max_in_flight = 1
 
-    def __init__(
-        self,
-        rules: Sequence[ScriptedRule] = (),
-        *,
-        script: Sequence[str] | None = None,
-        strict: bool = True,
-        default_response: str | None = None,
-    ):
+    def __init__(self, rules: Sequence[ScriptedRule] = ()):
         self.rules = list(rules)
-        self.script = list(script) if script is not None else None
-        self.strict = strict
-        self.default_response = default_response
         self.call_log: list[ChatExchange] = []
         self._lock = threading.Lock()
 
@@ -312,18 +299,12 @@ class ScriptedChatBackend:
             return exchange
 
     def _respond(self, prompt: str) -> str:
-        if self.script is not None:
-            if not self.script:
-                raise ScriptExhaustedError("scripted backend ran out of responses")
-            return self.script.pop(0)
         for rule in self.rules:
             if rule.contains in prompt:
                 if rule.fail_times > 0:
                     rule.fail_times -= 1
                     raise GatewayTransientError(f"scripted failure for {rule.contains!r}")
                 return rule.next_response()
-        if not self.strict and self.default_response is not None:
-            return self.default_response
         raise UnmatchedPromptError(f"no rule matches prompt: {prompt[:120]!r}...")
 
 

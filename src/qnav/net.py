@@ -258,7 +258,7 @@ class Adam:
 # -- checkpoints -------------------------------------------------------------
 
 
-def save_checkpoint(net: DuelingNet, *, seed: int, episodes: int, extra: dict | None = None) -> bytes:
+def save_checkpoint(net: DuelingNet, *, seed: int, episodes: int) -> bytes:
     """Serialize a net plus training metadata to a stable JSON document."""
     doc = {
         "format": CHECKPOINT_FORMAT,
@@ -268,8 +268,6 @@ def save_checkpoint(net: DuelingNet, *, seed: int, episodes: int, extra: dict | 
         "episodes": episodes,
         "params": {k: net.params[k].tolist() for k in PARAM_KEYS},
     }
-    if extra:
-        doc["extra"] = extra
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
 
@@ -298,6 +296,4 @@ def load_checkpoint(data: bytes) -> tuple[DuelingNet, dict]:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if meta["widths"] != net.widths:
         raise CheckpointError(f"widths field {meta['widths']} does not match parameters {net.widths}")
-    if "extra" in doc:
-        meta["extra"] = doc["extra"]
     return net, meta

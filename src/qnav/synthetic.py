@@ -30,7 +30,6 @@ class ScriptedMdp:
     rewards: tuple[tuple[float, ...], ...]  # [state][action]
     next_state: tuple[tuple[int, ...], ...]  # [state][action], permutations
     horizon: int = 5
-    seed: int = 0
 
     @property
     def n_states(self) -> int:
@@ -77,7 +76,6 @@ def make_scripted(
         rewards=tuple(rewards),
         next_state=next_state,
         horizon=horizon,
-        seed=seed,
     )
 
 

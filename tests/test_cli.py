@@ -4,6 +4,7 @@ Every test drives cli.main() in process with scripted backends, so runs are
 deterministic and touch only pytest temp directories.
 """
 
+import functools
 import json
 import logging
 import random
@@ -33,6 +34,9 @@ def scripted_config(**sections):
     return doc
 
 
+STANDARD_GATEWAY = scripted_config()["gateway"]
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -58,14 +62,13 @@ class TestInspect:
     def test_reports_checkpoint_fields(self, tmp_path, capsys):
         net = DuelingNet.initialize(3, (6, 5))
         path = tmp_path / "ck.json"
-        path.write_bytes(save_checkpoint(net, seed=9, episodes=40, extra={"note": "x"}))
+        path.write_bytes(save_checkpoint(net, seed=9, episodes=40))
         assert cli.main(["inspect", "--checkpoint", str(path)]) == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "widths: 6x5"
         assert lines[1] == f"parameters: {net.num_parameters}"
         assert lines[2] == "episodes: 40"
         assert lines[3] == "seed: 9"
-        assert lines[4] == 'extra: {"note": "x"}'
 
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         code = cli.main(["inspect", "--checkpoint", str(tmp_path / "nope.json")])
@@ -226,7 +229,8 @@ class TestConfigHandling:
                 "base_url": "http://localhost:9",
                 "max_attempts": 5,
                 "backoff_base_s": 0.01,
-            }
+            },
+            in_flight=1,
         )
         assert offline is False
         assert isinstance(prm, gateway.WirePrm)
@@ -235,7 +239,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("build, section", [
         (cli.build_chat_backend, {"backend": "openai", "base_url": "http://localhost:9", "model": "m"}),
-        (cli.build_prm_backend, {"backend": "wire", "base_url": "http://localhost:9"}),
+        (functools.partial(cli.build_prm_backend, in_flight=1),
+         {"backend": "wire", "base_url": "http://localhost:9"}),
     ], ids=["gateway", "prm"])
     @pytest.mark.parametrize("bad", [
         {"max_attempts": 0},
@@ -276,6 +281,15 @@ class TestConfigHandling:
                      "gateway.rules[0].response", id="gateway.rules.response"),
         pytest.param({"gateway": {"backend": "scripted", "rulez": []}}, "gateway.rulez", id="gateway.rulez"),
         pytest.param({"gateway": {"backend": "scripted", "strict": "no"}}, "gateway.strict", id="gateway.strict"),
+        # The scripted gateway answers from rules only.
+        pytest.param({"gateway": {**STANDARD_GATEWAY, "strict": True}}, "gateway.strict: unknown key",
+                     id="gateway.strict-removed"),
+        pytest.param({"gateway": {**STANDARD_GATEWAY, "script": ["The answer is 7."]}},
+                     "gateway.script: unknown key", id="gateway.script"),
+        pytest.param({"gateway": {**STANDARD_GATEWAY, "default_response": "The answer is 7."}},
+                     "gateway.default_response: unknown key", id="gateway.default_response"),
+        pytest.param({"gateway": {"backend": "scripted", "rules": [{"contains": "", "response": []}]}},
+                     "gateway.rules[0]: response must not be empty", id="gateway.rules.response-empty"),
     ])
     def test_bad_section_value_is_a_config_error(self, tmp_path, capsys, sections, names):
         cfg = write_config(tmp_path, scripted_config(**sections))
@@ -595,6 +609,30 @@ class TestEval:
         code = cli.main(["eval", "--config", cfg, "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert "eval needs --dataset" in capsys.readouterr().err
+
+    def test_wire_prm_pools_a_connection_per_trial_in_flight(self, tmp_path, monkeypatch):
+        # A chat cap of 12 runs 12 trials at once, each with a PRM call in flight.
+        class Stop(Exception):
+            pass
+
+        prms = []
+
+        def evaluate(policy, dataset, chat, prm, cfg, *, offline):
+            prms.append(prm)
+            raise Stop
+
+        monkeypatch.setattr(cli.evalkit, "evaluate", evaluate)
+        cfg = write_config(tmp_path, {
+            "gateway": {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m", "max_in_flight": 12},
+            "prm": {"backend": "wire", "base_url": "http://localhost:9"},
+        })
+        data = write_dataset(tmp_path, [numeric_question("q1", "7")])
+        with pytest.raises(Stop):
+            cli.main(["eval", "--config", cfg, "--dataset", data, "--policy", "fixed-sequence",
+                      "--out-dir", str(tmp_path / "o")])
+        (prm,) = prms
+        adapter = prm._session.get_adapter("http://localhost:9/score")
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 12
 
 
 class TestSynthTrain:

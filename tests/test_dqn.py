@@ -675,16 +675,35 @@ class TestEpisodesInFlight:
         assert caplog.messages.count("episodes in flight: 3") == 2
         assert not train_workers()
 
+    @pytest.mark.parametrize("in_flight, steps, checkpoint_digest, table_digest", [
+        (4, 1052, "f0d0b0bd7a82c7fd35f14837d3219694fd0bef564ae641bb033f7e44e9a375f8",
+         "d7836a6880f3a2716bccfaafa13ba1601c251402862e8a6b65b4f7f16f369d54"),
+        (7, 1099, "6f915e48a1539ee967bb7a7aff33118d0e2ad50ddfda915f14dc2088c1949232",
+         "e7b0cd94207137dddb20847fd24c4e0d2f742d8be259029ad1711e167b5dd595"),
+    ])
+    def test_seed_zero_run_in_flight_is_pinned(self, in_flight, steps, checkpoint_digest, table_digest):
+        # Digests recorded like test_seed_zero_run_is_pinned's. They pin the
+        # slots' visiting order: any change to which episode the trainer
+        # waits on next changes the RNG stream and the updates.
+        _, net, stats = self.synthetic_run(in_flight, TrainerConfig(seed=0, episodes=300))
+        assert sum(s.steps for s in stats) == steps
+        assert hashlib.sha256(save_checkpoint(net, seed=0, episodes=300)).hexdigest() == checkpoint_digest
+        assert hashlib.sha256(stats_table(stats).encode("utf-8")).hexdigest() == table_digest
+
     @staticmethod
-    def synthetic_ratio(in_flight, seed):
-        """greedy/oracle return after training on the synthetic MDP with in_flight episodes at once."""
+    def synthetic_run(in_flight, cfg):
+        """(mdp, net, stats) of training on the synthetic MDP with in_flight episodes at once."""
 
         class InFlight(SyntheticEpisode):
             max_in_flight = in_flight
 
         mdp = make_scripted(n_states=8, sharpness=0.7, seed=0)
+        return mdp, *run_training(lambda rng: InFlight(mdp, rng), cfg)
+
+    def synthetic_ratio(self, in_flight, seed):
+        """greedy/oracle return after training on the synthetic MDP with in_flight episodes at once."""
         cfg = TrainerConfig(seed=seed)
-        net, _ = run_training(lambda rng: InFlight(mdp, rng), cfg)
+        mdp, net, _ = self.synthetic_run(in_flight, cfg)
         return greedy_return(mdp, net, cfg.gamma) / optimal_return(mdp, cfg.gamma).value
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -445,7 +445,7 @@ class TestReasoningEpisode:
         assert ep.transitions[-1].done is True
 
     def test_gateway_failure_raises_episode_failure(self, prm):
-        chat = ScriptedChatBackend([])  # strict, no rules at all
+        chat = ScriptedChatBackend([])  # no rules at all
         ep = self.make(chat, prm)
         with pytest.raises(EpisodeFailure):
             ep.reset()

@@ -164,7 +164,7 @@ class TestMineHard:
 
     def test_mining_prompt_wording(self):
         dataset = [record("q1", "Count to three.", "3")]
-        chat = ScriptedChatBackend([], strict=False, default_response="The answer is 3.")
+        chat = ScriptedChatBackend([ScriptedRule("", "The answer is 3.")])
         mine_hard(dataset, chat)
         prompt = chat.call_log[0].request.prompt
         assert prompt.startswith("Count to three. Please generate the answer")

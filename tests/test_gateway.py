@@ -16,7 +16,6 @@ from qnav.gateway import (
     GatewayTransientError,
     OpenAIChatBackend,
     PrmWireConfig,
-    ScriptExhaustedError,
     ScriptedChatBackend,
     ScriptedPrm,
     ScriptedRule,
@@ -77,7 +76,7 @@ class TestScriptedBackend:
             backend.complete(ChatRequest("nothing relevant"))
 
     def test_default_response_when_not_strict(self):
-        backend = ScriptedChatBackend([], strict=False, default_response="fallback")
+        backend = ScriptedChatBackend([ScriptedRule("x", "y"), ScriptedRule("", "fallback")])
         assert backend.complete(ChatRequest("anything")).text == "fallback"
 
     def test_sequence_responses_advance_then_repeat(self):
@@ -85,12 +84,9 @@ class TestScriptedBackend:
         texts = [backend.complete(ChatRequest("q")).text for _ in range(4)]
         assert texts == ["one", "two", "two", "two"]
 
-    def test_script_mode_is_prompt_agnostic_and_finite(self):
-        backend = ScriptedChatBackend(script=["a", "b"])
-        assert backend.complete(ChatRequest("first")).text == "a"
-        assert backend.complete(ChatRequest("unrelated")).text == "b"
-        with pytest.raises(ScriptExhaustedError):
-            backend.complete(ChatRequest("third"))
+    def test_rule_needs_a_response(self):
+        with pytest.raises(ValueError, match="response"):
+            ScriptedRule("q", [])
 
     def test_word_count_usage_and_zero_latency(self):
         backend = ScriptedChatBackend([ScriptedRule("count", "three word reply")])
@@ -109,7 +105,7 @@ class TestScriptedBackend:
         ]
 
     def test_runs_one_call_at_a_time(self):
-        # script, response sequences and fail_times are consumed in call order
+        # response sequences and fail_times are consumed in call order
         assert ScriptedChatBackend().max_in_flight == 1
 
     def test_fail_times_injects_transient_failures(self):

@@ -323,7 +323,7 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = DuelingNet.initialize(13, (6, 5))
-        blob = save_checkpoint(net, seed=13, episodes=42, extra={"note": "x"})
+        blob = save_checkpoint(net, seed=13, episodes=42)
         path = tmp_path / "ck.json"
         path.write_bytes(blob)
         loaded, meta = load_checkpoint(path.read_bytes())
@@ -332,7 +332,15 @@ class TestCheckpoint:
         assert loaded.widths == (6, 5)
         assert meta["seed"] == 13
         assert meta["episodes"] == 42
-        assert meta["extra"] == {"note": "x"}
+
+    def test_loads_a_file_carrying_extra(self):
+        # Older checkpoints could carry an "extra" object; it is ignored.
+        net = DuelingNet.initialize(13, (6, 5))
+        doc = json.loads(save_checkpoint(net, seed=13, episodes=42))
+        doc["extra"] = {"note": "x"}
+        loaded, meta = load_checkpoint(json.dumps(doc).encode("utf-8"))
+        np.testing.assert_array_equal(loaded.flat, net.flat)
+        assert meta == {"widths": (6, 5), "seed": 13, "episodes": 42}
 
     def test_reload_preserves_forward(self):
         net = DuelingNet.initialize(3)
