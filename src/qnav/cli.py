@@ -54,7 +54,18 @@ class ConfigError(Exception):
     """Bad or inconsistent configuration."""
 
 
+# Each command's top-level settings, each with its default, or with its type
+# where it has none. A flag of the same name overrides the file value.
+SETTINGS = {
+    "mine-hard": dict(dataset=str, seed=0, out_dir=str),
+    "train": dict(hard_set=str, seed=0, out_dir=str),
+    "eval": dict(dataset=str, policy="nav", checkpoint=str, trials=3, seed=0, out_dir=str),
+    "synth-train": dict(states=8, sharpness=0.7, mdp_seed=0, threshold=0.95, min_pass=int, seeds="0", out_dir=str),
+}
+
+
 def _load_config_file(path: str | None) -> dict:
+    """The config file's JSON object; a top-level key no command reads is a ConfigError."""
     if path is None:
         return {}
     try:
@@ -66,6 +77,10 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    known = {"command", "gateway", "prm", "env", "trainer"}.union(*SETTINGS.values())
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{key}: unknown key")
     return doc
 
 
@@ -166,16 +181,25 @@ def _to_section(cfg, *omit: str) -> dict:
     return section
 
 
-def _pick(flag_value, file_cfg: dict, key: str, default):
-    """The flag if set, else the file's value as the default's type (str if None), else default."""
-    if flag_value is not None:
-        return flag_value
-    if file_cfg.get(key) is None:
-        return default
-    try:
-        return _coerce(str if default is None else type(default), file_cfg[key], key)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _settings(args, file_cfg: dict) -> dict:
+    """args.command's SETTINGS, each resolved as its flag, else its file value, else its default.
+
+    A null file value counts as unset. A file value is coerced to the
+    default's type; a setting declared by its type alone resolves to None
+    when unset.
+    """
+    settings = {}
+    for key, default in SETTINGS[args.command].items():
+        value = getattr(args, key)
+        if value is None and file_cfg.get(key) is not None:
+            try:
+                value = _coerce(default if isinstance(default, type) else type(default), file_cfg[key], key)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        if value is None and not isinstance(default, type):
+            value = default
+        settings[key] = value
+    return settings
 
 
 def _check_seed(seed: int, key: str) -> int:
@@ -204,12 +228,14 @@ def _read_checkpoint(path: str) -> tuple[DuelingNet, dict]:
     return load_checkpoint(payload)
 
 
-def _out_dir(args, seed: int, file_cfg: dict) -> Path:
-    explicit = _pick(args.out_dir, file_cfg, "out_dir", None)
-    if explicit is not None:
-        return Path(explicit)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path("runs") / f"{stamp}-seed{seed}"
+def _out_dir(settings: dict, seed: int) -> Path:
+    """The artifact directory, which settings["out_dir"] then records."""
+    if settings["out_dir"] is not None:
+        out = Path(settings["out_dir"])
+    else:
+        out = Path("runs") / f"{time.strftime('%Y%m%d-%H%M%S')}-seed{seed}"
+    settings["out_dir"] = str(out)
+    return out
 
 
 def build_chat_backend(cfg: dict) -> tuple[object, bool]:
@@ -267,11 +293,12 @@ def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
 
 def cmd_mine_hard(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = _check_seed(_pick(args.seed, file_cfg, "seed", 0), "seed")
-    dataset_path = _pick(args.dataset, file_cfg, "dataset", None)
+    settings = _settings(args, file_cfg)
+    seed = _check_seed(settings["seed"], "seed")
+    dataset_path = settings["dataset"]
     if dataset_path is None:
         raise ConfigError("mine-hard needs --dataset")
-    out = _out_dir(args, seed, file_cfg)
+    out = _out_dir(settings, seed)
     gateway_cfg = _gateway_section(args, file_cfg)
     chat, _ = build_chat_backend(gateway_cfg)
 
@@ -286,16 +313,9 @@ def cmd_mine_hard(args) -> int:
         "hard": len(result.hard),
         "proportion": result.proportion,
         "undetermined": list(result.undetermined),
-        "usage": {"input_tokens": usage.totals().input_tokens,
-                  "output_tokens": usage.totals().output_tokens},
+        "usage": dataclasses.asdict(usage.totals()),
     })
-    _write_json(out / "resolved_config.json", {
-        "command": "mine-hard",
-        "dataset": str(dataset_path),
-        "seed": seed,
-        "out_dir": str(out),
-        "gateway": gateway_cfg,
-    })
+    _write_json(out / "resolved_config.json", {"command": args.command, **settings, "gateway": gateway_cfg})
     print(f"kept {len(result.hard)} of {result.total} questions "
           f"({100.0 * result.proportion:.2f}% hard, {len(result.undetermined)} undetermined)")
     print(f"artifacts in {out}")
@@ -304,11 +324,12 @@ def cmd_mine_hard(args) -> int:
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = _check_seed(_pick(args.seed, file_cfg, "seed", 0), "seed")
-    hard_path = _pick(args.hard_set, file_cfg, "hard_set", None)
+    settings = _settings(args, file_cfg)
+    seed = _check_seed(settings["seed"], "seed")
+    hard_path = settings["hard_set"]
     if hard_path is None:
         raise ConfigError("train needs --hard-set")
-    out = _out_dir(args, seed, file_cfg)
+    out = _out_dir(settings, seed)
     gateway_cfg = _gateway_section(args, file_cfg)
     prm_cfg = _section(file_cfg, "prm")
     chat, _ = build_chat_backend(gateway_cfg)
@@ -340,16 +361,10 @@ def cmd_train(args) -> int:
 
     _write(out / "checkpoint_final.json", save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes))
     _write(out / "reward_curve.tsv", dqn.stats_table(stats))
-    _write_json(out / "usage.json", {
-        "input_tokens": usage.totals().input_tokens,
-        "output_tokens": usage.totals().output_tokens,
-        "calls": usage.calls,
-    })
+    _write_json(out / "usage.json", {**dataclasses.asdict(usage.totals()), "calls": usage.calls})
     _write_json(out / "resolved_config.json", {
-        "command": "train",
-        "hard_set": str(hard_path),
-        "seed": seed,
-        "out_dir": str(out),
+        "command": args.command,
+        **settings,
         "gateway": gateway_cfg,
         "prm": prm_cfg,
         "trainer": _to_section(trainer_cfg, "seed"),
@@ -363,16 +378,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = _check_seed(_pick(args.seed, file_cfg, "seed", 0), "seed")
-    dataset_path = _pick(args.dataset, file_cfg, "dataset", None)
+    settings = _settings(args, file_cfg)
+    seed = _check_seed(settings["seed"], "seed")
+    dataset_path = settings["dataset"]
     if dataset_path is None:
         raise ConfigError("eval needs --dataset")
-    policy_name = _pick(args.policy, file_cfg, "policy", "nav")
-    checkpoint_path = _pick(args.checkpoint, file_cfg, "checkpoint", None)
-    trials = _pick(args.trials, file_cfg, "trials", 3)
+    policy_name = settings["policy"]
+    checkpoint_path = settings["checkpoint"]
+    trials = settings["trials"]
     if trials < 1:
         raise ConfigError(f"trials: need at least one, got {trials}")
-    out = _out_dir(args, seed, file_cfg)
+    out = _out_dir(settings, seed)
     gateway_cfg = _gateway_section(args, file_cfg)
     prm_cfg = _section(file_cfg, "prm")
     chat, chat_offline = build_chat_backend(gateway_cfg)
@@ -399,13 +415,8 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report.to_jsonable())
     _write_json(out / "resolved_config.json", {
-        "command": "eval",
-        "dataset": str(dataset_path),
-        "policy": policy_name,
-        "checkpoint": str(checkpoint_path) if checkpoint_path else None,
-        "trials": trials,
-        "seed": seed,
-        "out_dir": str(out),
+        "command": args.command,
+        **settings,
         "gateway": gateway_cfg,
         "prm": prm_cfg,
         "env": _to_section(env_cfg),
@@ -419,24 +430,26 @@ def cmd_synth_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     if file_cfg.get("seed") is not None:
         raise ConfigError("seed: synth-train takes its trainer seeds as seeds (comma-separated)")
-    listed = _pick(args.seeds, file_cfg, "seeds", "0")
+    settings = _settings(args, file_cfg)
     try:
-        seeds = [_check_seed(int(s), "seeds") for s in listed.split(",") if s != ""]
+        seeds = [_check_seed(int(s), "seeds") for s in settings["seeds"].split(",") if s != ""]
     except ValueError as exc:
         raise ConfigError(f"seeds: {exc}") from exc
     if not seeds:
         raise ConfigError("need at least one seed")
-    states = _pick(args.states, file_cfg, "states", 8)
+    settings["seeds"] = ",".join(str(s) for s in seeds)
+    states = settings["states"]
     if states < 2:
         raise ConfigError(f"states: need at least two, got {states}")
-    sharpness = _pick(args.sharpness, file_cfg, "sharpness", 0.7)
+    sharpness = settings["sharpness"]
     if not 0.0 <= sharpness <= 1.0:
         raise ConfigError(f"sharpness: must lie in [0, 1], got {sharpness}")
-    mdp_seed = _check_seed(_pick(args.mdp_seed, file_cfg, "mdp_seed", 0), "mdp_seed")
-    threshold = _pick(args.threshold, file_cfg, "threshold", 0.95)
-    default_min_pass = len(seeds) - 1 if len(seeds) > 1 else 1
-    min_pass = _pick(args.min_pass, file_cfg, "min_pass", default_min_pass)
-    out = _out_dir(args, seeds[0], file_cfg)
+    mdp_seed = _check_seed(settings["mdp_seed"], "mdp_seed")
+    threshold = settings["threshold"]
+    if settings["min_pass"] is None:
+        settings["min_pass"] = len(seeds) - 1 if len(seeds) > 1 else 1
+    min_pass = settings["min_pass"]
+    out = _out_dir(settings, seeds[0])
 
     mdp = synthetic.make_scripted(n_states=states, sharpness=sharpness, seed=mdp_seed)
     trainer_cfgs = [_trainer_config(args, file_cfg, s) for s in seeds]
@@ -462,25 +475,12 @@ def cmd_synth_train(args) -> int:
               f"ratio {ratio:.4f} {'PASS' if ok else 'FAIL'}")
 
     verdict = passed >= min_pass
-    _write_json(out / "synth_results.json", {
-        "states": states,
-        "sharpness": sharpness,
-        "mdp_seed": mdp_seed,
-        "threshold": threshold,
-        "min_pass": min_pass,
-        "passed": passed,
-        "verdict": verdict,
-        "seeds": results,
-    })
+    summary = dict(settings, passed=passed, verdict=verdict, seeds=results)
+    del summary["out_dir"]
+    _write_json(out / "synth_results.json", summary)
     _write_json(out / "resolved_config.json", {
-        "command": "synth-train",
-        "states": states,
-        "sharpness": sharpness,
-        "mdp_seed": mdp_seed,
-        "threshold": threshold,
-        "min_pass": min_pass,
-        "seeds": ",".join(str(s) for s in seeds),
-        "out_dir": str(out),
+        "command": args.command,
+        **settings,
         "trainer": _to_section(trainer_cfgs[0], "seed"),
     })
     print(f"{passed}/{len(seeds)} seeds passed (need {min_pass}): "

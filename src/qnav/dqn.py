@@ -17,7 +17,7 @@ import logging
 import random
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -363,24 +363,12 @@ def run_training(
     return online, stats
 
 
-STATS_FIELDS = ("episode", "return", "discounted_return", "steps", "loss", "epsilon", "lr")
+# The reward curve's header: EpisodeStats' fields, with episode_return as return.
+STATS_FIELDS = tuple("return" if f.name == "episode_return" else f.name for f in fields(EpisodeStats))
 
 
 def stats_table(stats: Iterable[EpisodeStats]) -> str:
     """Reward curve as a tab-separated table (repr floats round-trip exactly)."""
     lines = ["\t".join(STATS_FIELDS)]
-    for s in stats:
-        lines.append(
-            "\t".join(
-                [
-                    str(s.episode),
-                    repr(s.episode_return),
-                    repr(s.discounted_return),
-                    str(s.steps),
-                    repr(s.loss),
-                    repr(s.epsilon),
-                    repr(s.lr),
-                ]
-            )
-        )
+    lines.extend("\t".join(map(repr, astuple(s))) for s in stats)
     return "\n".join(lines) + "\n"

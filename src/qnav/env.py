@@ -32,9 +32,10 @@ from .core import (
     EpisodeFailure,
     ReasoningContext,
     StateVector,
-    Transition,
 )
 from .gateway import (
+    DEFAULT_MAX_OUTPUT_TOKENS,
+    DEFAULT_TEMPERATURE,
     ChatBackend,
     ChatExchange,
     ChatRequest,
@@ -68,8 +69,8 @@ class EnvConfig:
     enabled_blocks: frozenset[ActionKind] = ALL_BLOCKS
     self_eval_retry: int = 1
     subtask_cap: int = prompts.MAX_SUBTASKS
-    temperature: float = 1.0
-    max_output_tokens: int = 1024
+    temperature: float = DEFAULT_TEMPERATURE
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
 
     def __post_init__(self) -> None:
         if self.max_actions < 1:
@@ -314,7 +315,7 @@ class ReasoningEpisode:
 
     ctx: ReasoningContext | None = field(default=None, init=False)
     state: StateVector | None = field(default=None, init=False)
-    transitions: list[Transition] = field(default_factory=list, init=False)
+    actions: list[ActionKind] = field(default_factory=list, init=False)  # requested, in step order
     final_text: str | None = field(default=None, init=False)
     failed: bool = field(default=False, init=False)
 
@@ -330,7 +331,7 @@ class ReasoningEpisode:
             raise EpisodeFailure(f"reset failed: {exc}") from exc
         self._record(calls)
         self.ctx, self.state = ctx, state
-        self.transitions.clear()
+        self.actions.clear()
         self.final_text = None
         self.failed = False
         return state
@@ -351,12 +352,12 @@ class ReasoningEpisode:
         except StepFailureError as exc:
             log.warning("question %s: %s", self.question_id or "?", exc)
             self.failed = True
-            self.transitions.append(Transition(self.state, action, 0.0, self.state, True))
+            self.actions.append(action)
             return self.state, 0.0, True
         except (GatewayError, MalformedEvaluationError) as exc:
             raise EpisodeFailure(f"step failed: {exc}") from exc
         self._record(outcome.transcript)
-        self.transitions.append(Transition(self.state, action, outcome.reward, outcome.state, outcome.done))
+        self.actions.append(action)
         self.ctx, self.state = outcome.ctx, outcome.state
         if outcome.done:
             self.final_text = outcome.appended

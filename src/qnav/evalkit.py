@@ -15,7 +15,7 @@ import random
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 
@@ -32,9 +32,6 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 R = TypeVar("R")
 
-DATASET_FIELDS = ("id", "question", "answer", "kind")
-
-
 class DatasetError(Exception):
     """A dataset file is malformed; the message carries the line number."""
 
@@ -45,6 +42,9 @@ class QuestionRecord:
     question: str
     answer: str
     kind: DatasetKind
+
+
+DATASET_FIELDS = tuple(f.name for f in fields(QuestionRecord))
 
 
 def load_dataset(path: str | Path) -> list[QuestionRecord]:
@@ -82,13 +82,7 @@ def load_dataset(path: str | Path) -> list[QuestionRecord]:
 def save_dataset(records: Sequence[QuestionRecord], path: str | Path) -> None:
     with atomic_write(path) as fh:
         for r in records:
-            fh.write(
-                json.dumps(
-                    {"id": r.id, "question": r.question, "answer": r.answer, "kind": r.kind.value},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
 # -- concurrency ---------------------------------------------------------------
@@ -261,7 +255,7 @@ class _TrialOutcome(NamedTuple):
 
 @dataclass(frozen=True)
 class QuestionResult:
-    question_id: str
+    id: str
     final_answer: str | None
     correct: bool
     actions: tuple[str, ...]  # action names of the trial that produced the winner
@@ -288,24 +282,8 @@ class RunReport:
             "accuracy": self.accuracy,
             "correct": self.correct,
             "total": self.total,
-            "usage": {
-                "input_tokens": self.usage.input_tokens,
-                "output_tokens": self.usage.output_tokens,
-            },
-            "questions": [
-                {
-                    "id": r.question_id,
-                    "final_answer": r.final_answer,
-                    "correct": r.correct,
-                    "actions": list(r.actions),
-                    "trial_answers": list(r.trial_answers),
-                    "tie_broken": r.tie_broken,
-                    "input_tokens": r.input_tokens,
-                    "output_tokens": r.output_tokens,
-                    "wall_time_s": r.wall_time_s,
-                }
-                for r in self.results
-            ],
+            "usage": asdict(self.usage),
+            "questions": [asdict(r) for r in self.results],
         }
 
 
@@ -346,7 +324,7 @@ def evaluate(
         except EpisodeFailure as exc:
             log.warning("question %s trial %d failed: %s", record.id, trial, exc)
             return _TrialOutcome(started, time.monotonic(), None, ())
-        actions = tuple(t.action.name for t in episode.transitions)
+        actions = tuple(a.name for a in episode.actions)
         return _TrialOutcome(started, time.monotonic(), episode.final_answer, actions)
 
     jobs = [(index, trial) for index in range(len(dataset)) for trial in range(cfg.trials)]
@@ -378,7 +356,7 @@ def evaluate(
         wall_time_s = max(t.ended for t in trials) - min(t.started for t in trials)
         results.append(
             QuestionResult(
-                question_id=record.id,
+                id=record.id,
                 final_answer=winner,
                 correct=correct,
                 actions=winning_actions,

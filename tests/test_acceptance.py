@@ -61,8 +61,9 @@ def _kink_clear_sample(rng, widths, margin):
 def test_criterion_01_gradient_fidelity():
     """Analytic gradients match central finite differences on every component
     of 100 random (net, input, upstream-gradient) triples, within relative
-    error 1e-4 (absolute floor 1e-8), in under 10 seconds."""
-    start = time.perf_counter()
+    error 1e-4 (absolute floor 1e-8), in under 10 seconds of CPU time (wall
+    time would also count whatever else the host runs)."""
+    start = time.process_time()
     rng = np.random.default_rng(1234)
     h = 1e-4
     for trial in range(100):
@@ -87,8 +88,8 @@ def test_criterion_01_gradient_fidelity():
                 assert abs(g - fd) <= tol, (
                     f"widths {widths} param {key}[{j}]: analytic {g} vs central fd {fd}"
                 )
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"gradient check took {elapsed:.2f}s (budget 10s)"
+    elapsed = time.process_time() - start
+    assert elapsed < 10.0, f"gradient check took {elapsed:.2f}s of CPU time (budget 10s)"
 
 
 def test_criterion_02_dueling_identity_and_advantage_shift():

@@ -5,9 +5,11 @@ deterministic and touch only pytest temp directories.
 """
 
 import functools
+import hashlib
 import json
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +330,26 @@ class TestConfigHandling:
         code = cli.main([command, "--config", cfg, *inputs, "--out-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert f"{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mine-hard", "train", "eval", "synth-train"])
+    @pytest.mark.parametrize("key", ["trails", "episodes"])  # a typo; a trainer key at the top level
+    def test_unknown_top_level_key_is_a_config_error(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, scripted_config(**{key: 5}))
+        code = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_command_accepts_the_settings_of_the_others(self, tmp_path):
+        data = write_dataset(tmp_path, [numeric_question("q", "9")])
+        cfg = write_config(tmp_path, scripted_config(
+            command="eval", dataset=data, hard_set=data, policy="fixed-sequence", checkpoint=None, trials=1,
+            states=4, sharpness=0.7, mdp_seed=0, threshold=0.0, min_pass=1, seeds="0", out_dir=None,
+            trainer={"episodes": 2, "batch_size": 4, "buffer_capacity": 4},
+        ))
+        for command in ("mine-hard", "train", "eval", "synth-train"):
+            out = str(tmp_path / command)
+            assert cli.main([command, "--config", cfg, "--out-dir", out]) == cli.EXIT_OK, command
 
     def test_negative_trials_flag_is_a_config_error(self, tmp_path, capsys):
         data = write_dataset(tmp_path, [numeric_question("q", "7")])
@@ -731,3 +753,67 @@ class TestSynthTrain:
         err = capsys.readouterr().err
         assert "seed: " in err and "seeds" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestGoldenArtifacts:
+    """The scripted mine-hard -> train -> eval -> synth-train pipeline, run
+    with relative paths, writes exactly these bytes. A change to how any
+    artifact is serialised shows here as a changed digest."""
+
+    RECORDS = (
+        QuestionRecord("q1", "What is 3 + 4?", "7", DatasetKind.ELEMENTARY_MATH_NUMERIC),
+        QuestionRecord("q2", "What is 3 + 4, plus two?", "9", DatasetKind.ELEMENTARY_MATH_NUMERIC),
+        QuestionRecord("q3", "Simplify 14/7.", "2", DatasetKind.MATH_BOXED),
+        QuestionRecord("q4", "Pick the sum of 3 and 4: (A) 6 (B) 7 (C) 8.", "B", DatasetKind.MULTIPLE_CHOICE),
+        QuestionRecord("q5", "Is 7 even?", "no", DatasetKind.YES_NO),
+    )
+
+    DIGESTS = {
+        "eval-fixed/report.json": "4acb9fb24595e196e813188b046404215412d4afc18606909444c99dd2895113",
+        "eval-fixed/resolved_config.json": "dbeee6a5aa338139d253197270b242671d389b129a306d63e8abc1bd160c032b",
+        "eval-nav/report.json": "9c7b050dad2f96da7c5da08f59e894bc8311ebbfde2fc5e2885b09ad65f76744",
+        "eval-nav/resolved_config.json": "d4ac6b4a821ac4c7ea120e2c656b7aa81daafc8bb0548fbbfa0b9f80ca66c3ee",
+        "eval-random/report.json": "cac505564128fbf2b93bca2e1bcb15c01575f8b94e8000eff9cc70791c744610",
+        "eval-random/resolved_config.json": "91e8db65e54ac782cf54dfa1a8dcbfafcdff4c77a8e558c50174064831fc84d6",
+        "mine/hard_set.jsonl": "85b2bdbc6f9bb273736aab1f522935660010ccedf6440198ab3c4d03f7109188",
+        "mine/mining_summary.json": "6a7344f59a465edea63067b6621f2d6bb878baeac02a9788238494c38f49b874",
+        "mine/resolved_config.json": "eb7092bc1628dc2ee3ce73301cd48be8c93ab4c0f0bb635e53defc3f2b3871f3",
+        "synth/resolved_config.json": "ca6687e2b6fa2164b488f527de0c104ce0a47632816cbbda5ba30a9b34fa1a83",
+        "synth/reward_curve_seed0.tsv": "88afb376f1604e5b8c84182e87bc7da2e9f4f20d79bc93ee4c5cf1835162c564",
+        "synth/reward_curve_seed1.tsv": "dbb27bf9155d48a2733dbd7962069cfbbbb7b3a49c9fc0e1b668757440248454",
+        "synth/synth_results.json": "8d98fffd85e0573616157302a1965f6bea79d3d8f16714c51a7e5bdd5b26d39e",
+        "train/checkpoint_final.json": "bac8fba1260db2e87edb4017742b4ab64ee7a2e9b84a9f03f8784213569de168",
+        "train/resolved_config.json": "4366af655ffa3352515fc52474144b9b5402e075aec8b66c0703196aefe89525",
+        "train/reward_curve.tsv": "bfbff25d941b15345ef1de7bc236ddf10fa310c2357562032978d64d77aad3f3",
+        "train/usage.json": "427d5af21e9e8a6f305bb7f3de39d29773c74f2f504c8c7d2114f4b8dea57d44",
+    }
+
+    def test_every_artifact_has_its_pinned_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_dataset(self.RECORDS, "data.jsonl")
+        write = functools.partial(write_config, Path("."))
+        cfg = write(scripted_config(
+            seed=2,
+            trainer={"episodes": 10, "batch_size": 4, "buffer_capacity": 16, "widths": [6, 5]},
+            env={"max_actions": 4},
+        ))
+        synth = write({"mdp_seed": 1, "sharpness": 0.6, "trainer": {"batch_size": 8, "buffer_capacity": 32}},
+                      name="synth.json")
+        runs = [
+            ["mine-hard", "--config", cfg, "--dataset", "data.jsonl", "--out-dir", "mine"],
+            ["train", "--config", cfg, "--hard-set", "mine/hard_set.jsonl", "--episodes", "12", "--out-dir", "train"],
+            ["eval", "--config", cfg, "--dataset", "data.jsonl", "--policy", "nav",
+             "--checkpoint", "train/checkpoint_final.json", "--trials", "2", "--out-dir", "eval-nav"],
+            ["eval", "--config", cfg, "--dataset", "data.jsonl", "--policy", "random", "--out-dir", "eval-random"],
+            ["eval", "--config", cfg, "--dataset", "data.jsonl", "--policy", "fixed-sequence", "--seed", "4",
+             "--out-dir", "eval-fixed"],
+            ["synth-train", "--config", synth, "--states", "4", "--episodes", "40", "--seeds", "1,0,",
+             "--threshold", "0.0", "--out-dir", "synth"],
+        ]
+        for argv in runs:
+            assert cli.main(argv) == cli.EXIT_OK, argv
+        digests = {
+            str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.glob("*/*"))
+        }
+        assert digests == self.DIGESTS

@@ -419,8 +419,7 @@ class TestReasoningEpisode:
         ns, r2, done = ep.step(T)
         assert done is True
         assert ep.final_answer == "7"
-        assert len(ep.transitions) == 2
-        assert ep.transitions[-1].done is True
+        assert ep.actions == [R, T]
 
     def test_trainer_protocol_legal_actions(self, chat, prm):
         ep = self.make(chat, prm)
@@ -442,7 +441,7 @@ class TestReasoningEpisode:
         assert ns == state
         assert ep.failed is True
         assert ep.final_answer is None
-        assert ep.transitions[-1].done is True
+        assert ep.actions == [DEC]
 
     def test_gateway_failure_raises_episode_failure(self, prm):
         chat = ScriptedChatBackend([])  # no rules at all
@@ -476,7 +475,7 @@ class TestReasoningEpisode:
         ep.step(R)
         ep.step(T)
         ep.reset()
-        assert ep.transitions == []
+        assert ep.actions == []
         assert ep.final_text is None
         assert ep.final_answer is None
 
@@ -568,7 +567,7 @@ class TestPrmOverlap:
             ep.step(R)
         assert type(excinfo.value.__cause__) is surfaces
         assert prm.finished.is_set()  # the step waited for the PRM before it raised
-        assert ep.transitions == []
+        assert ep.actions == []
 
 
 class TestGoldenTranscript:

@@ -113,8 +113,8 @@ def test_save_dataset_failing_midway_keeps_the_previous_file(tmp_path, sample_qu
     path = tmp_path / "hard_set.jsonl"
     save_dataset(sample_questions, path)
     before = path.read_bytes()
-    broken = QuestionRecord(id="q3", question="What is 1 + 1?", answer="2", kind=None)
-    with pytest.raises(AttributeError):  # no kind.value, after two records were written
+    broken = QuestionRecord(id="q3", question="What is 1 + 1?", answer=object(), kind=NUM)
+    with pytest.raises(TypeError):  # not JSON serialisable, after two records were written
         save_dataset([*sample_questions, broken], path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["hard_set.jsonl"]
@@ -235,18 +235,17 @@ class TestRunEpisode:
             problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm, question_id="q"
         )
         run_episode(episode, FixedSequencePolicy())
-        names = [t.action.name for t in episode.transitions]
+        names = [a.name for a in episode.actions]
         assert names == ["DECOMPOSE", "REASON_ONE_STEP", "REFINE", "TERMINATE"]
-        assert episode.final_answer == "7"
-        assert episode.transitions[-1].done is True
+        assert episode.final_answer == "7"  # only a step that ends the episode sets it
 
     def test_episode_respects_action_budget(self, chat, prm):
         episode = ReasoningEpisode(
             problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm
         )
         run_episode(episode, RandomPolicy(0))
-        assert 1 <= len(episode.transitions) <= 5
-        assert episode.transitions[-1].action is T
+        assert 1 <= len(episode.actions) <= 5
+        assert episode.actions[-1] is T
 
 
 class TestEvalConfig:
@@ -278,7 +277,7 @@ class TestEvaluate:
         assert report.total == 2
         assert report.correct == 2
         assert report.accuracy == 1.0
-        by_id = {r.question_id: r for r in report.results}
+        by_id = {r.id: r for r in report.results}
         assert by_id["q1"].final_answer == "7"
         assert by_id["q2"].final_answer == "B"
         assert by_id["q1"].trial_answers == ("7", "7", "7")
