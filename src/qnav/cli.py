@@ -27,8 +27,10 @@ from . import dqn, evalkit, synthetic
 from .core import ActionKind, atomic_write
 from .env import EnvConfig, ReasoningEpisode, episodes_in_flight
 from .gateway import (
+    ChatBackend,
     GatewayError,
     OpenAIChatBackend,
+    PrmBackend,
     PrmWireConfig,
     ScriptedChatBackend,
     ScriptedPrm,
@@ -63,6 +65,26 @@ SETTINGS = {
     "synth-train": dict(states=8, sharpness=0.7, mdp_seed=0, threshold=0.95, min_pass=int, seeds="0", out_dir=str),
 }
 
+POLICIES = ("nav", "fixed-sequence", "random")
+
+# The config sections each command reads. A command takes the flags of its
+# sections: each sets the section key of the same name.
+SECTIONS = {
+    "mine-hard": ("gateway",),
+    "train": ("gateway", "prm", "env", "trainer"),
+    "eval": ("gateway", "prm", "env"),
+    "synth-train": ("trainer",),
+}
+SECTION_FLAGS = {"gateway": dict(base_url=str, model=str, api_key_env=str), "trainer": dict(episodes=int)}
+
+HELP = {
+    "dataset": "JSONL dataset",
+    "hard_set": "JSONL hard set from mine-hard",
+    "checkpoint": "navigator checkpoint (for --policy nav)",
+    "seeds": "comma-separated trainer seeds",
+    "out_dir": "artifact directory (default: runs/<stamp>-seed<seed>)",
+}
+
 
 def _load_config_file(path: str | None) -> dict:
     """The config file's JSON object; a top-level key no command reads is a ConfigError."""
@@ -77,27 +99,32 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {"command", "gateway", "prm", "env", "trainer"}.union(*SETTINGS.values())
+    known = {"command"}.union(*SECTIONS.values(), *SETTINGS.values())
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown key")
     return doc
 
 
-def _section(file_cfg: dict, name: str) -> dict:
+def _section(args, file_cfg: dict, name: str) -> dict:
+    """The config file's section name, with the flags that set its keys applied."""
     section = file_cfg.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object")
-    return dict(section)
-
-
-_JSON_NAMES = {str: "a string", bool: "true or false", type(None): "null"}
+    section = dict(section)
+    for key in SECTION_FLAGS.get(name, ()):
+        if getattr(args, key) is not None:
+            section[key] = getattr(args, key)
+            # A flag naming the chat endpoint or its model means the wire gateway.
+            if key in ("base_url", "model"):
+                section.setdefault("backend", "openai")
+    return section
 
 
 def _coerce(hint, value, name: str):
     """value as a parameter of type hint; name labels errors in nested objects.
 
-    JSON values map onto int, float, bool, str and None; a union takes the
+    JSON values map onto int, float and str; a union takes the
     first arm that fits; a tuple or sequence is a list; a frozenset is a list
     of ActionKind names; any other class is an object read by _from_section.
     """
@@ -127,9 +154,9 @@ def _coerce(hint, value, name: str):
             return frozenset(ActionKind[action] for action in value)
         except KeyError as exc:
             raise ValueError(f"unknown action name {exc.args[0]!r}") from None
-    if hint in _JSON_NAMES:
-        if not isinstance(value, hint):
-            raise ValueError(f"expected {_JSON_NAMES[hint]}")
+    if hint is str:
+        if not isinstance(value, str):
+            raise ValueError("expected a string")
         return value
     if hint is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
@@ -181,6 +208,10 @@ def _to_section(cfg, *omit: str) -> dict:
     return section
 
 
+def _setting_type(default) -> type:
+    return default if isinstance(default, type) else type(default)
+
+
 def _settings(args, file_cfg: dict) -> dict:
     """args.command's SETTINGS, each resolved as its flag, else its file value, else its default.
 
@@ -193,7 +224,7 @@ def _settings(args, file_cfg: dict) -> dict:
         value = getattr(args, key)
         if value is None and file_cfg.get(key) is not None:
             try:
-                value = _coerce(default if isinstance(default, type) else type(default), file_cfg[key], key)
+                value = _coerce(_setting_type(default), file_cfg[key], key)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
         if value is None and not isinstance(default, type):
@@ -238,19 +269,19 @@ def _out_dir(settings: dict, seed: int) -> Path:
     return out
 
 
-def build_chat_backend(cfg: dict) -> tuple[object, bool]:
-    """(backend, offline) from a gateway config section."""
+def build_chat_backend(cfg: dict) -> ChatBackend:
+    """The chat backend a gateway config section describes."""
     kind = cfg.get("backend", "openai")
     fields = {k: v for k, v in cfg.items() if k != "backend"}
     if kind == "scripted":
-        return _from_section(ScriptedChatBackend, fields, "gateway"), True
+        return _from_section(ScriptedChatBackend, fields, "gateway")
     if kind == "openai":
-        return OpenAIChatBackend(_from_section(WireConfig, fields, "gateway")), False
+        return OpenAIChatBackend(_from_section(WireConfig, fields, "gateway"))
     raise ConfigError(f"unknown gateway backend {kind!r}")
 
 
-def build_prm_backend(cfg: dict, in_flight: int) -> tuple[object, bool]:
-    """(backend, offline) from a prm config section.
+def build_prm_backend(cfg: dict, in_flight: int) -> PrmBackend:
+    """The process reward model a prm config section describes.
 
     in_flight is how many score calls the command may make at once; a wire
     client pools that many connections.
@@ -258,34 +289,18 @@ def build_prm_backend(cfg: dict, in_flight: int) -> tuple[object, bool]:
     kind = cfg.get("backend", "scripted")
     fields = {k: v for k, v in cfg.items() if k != "backend"}
     if kind == "scripted":
-        return _from_section(ScriptedPrm, fields, "prm"), True
+        return _from_section(ScriptedPrm, fields, "prm")
     if kind == "wire":
-        return WirePrm(_from_section(PrmWireConfig, fields, "prm"), pooled_session(in_flight)), False
+        return WirePrm(_from_section(PrmWireConfig, fields, "prm"), pooled_session(in_flight))
     raise ConfigError(f"unknown prm backend {kind!r}")
 
 
-def _gateway_section(args, file_cfg: dict) -> dict:
-    section = _section(file_cfg, "gateway")
-    if getattr(args, "base_url", None) is not None:
-        section["base_url"] = args.base_url
-        section.setdefault("backend", "openai")
-    if getattr(args, "model", None) is not None:
-        section["model"] = args.model
-        section.setdefault("backend", "openai")
-    if getattr(args, "api_key_env", None) is not None:
-        section["api_key_env"] = args.api_key_env
-    return section
-
-
-def _env_config(file_cfg: dict) -> EnvConfig:
-    return _from_section(EnvConfig, _section(file_cfg, "env"), "env")
+def _env_config(args, file_cfg: dict) -> EnvConfig:
+    return _from_section(EnvConfig, _section(args, file_cfg, "env"), "env")
 
 
 def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
-    section = _section(file_cfg, "trainer")
-    if getattr(args, "episodes", None) is not None:
-        section["episodes"] = args.episodes
-    return _from_section(dqn.TrainerConfig, section, "trainer", seed=seed)
+    return _from_section(dqn.TrainerConfig, _section(args, file_cfg, "trainer"), "trainer", seed=seed)
 
 
 # -- commands -------------------------------------------------------------------
@@ -299,8 +314,8 @@ def cmd_mine_hard(args) -> int:
     if dataset_path is None:
         raise ConfigError("mine-hard needs --dataset")
     out = _out_dir(settings, seed)
-    gateway_cfg = _gateway_section(args, file_cfg)
-    chat, _ = build_chat_backend(gateway_cfg)
+    gateway_cfg = _section(args, file_cfg, "gateway")
+    chat = build_chat_backend(gateway_cfg)
 
     dataset = evalkit.load_dataset(dataset_path)
     usage = UsageLog()
@@ -330,12 +345,12 @@ def cmd_train(args) -> int:
     if hard_path is None:
         raise ConfigError("train needs --hard-set")
     out = _out_dir(settings, seed)
-    gateway_cfg = _gateway_section(args, file_cfg)
-    prm_cfg = _section(file_cfg, "prm")
-    chat, _ = build_chat_backend(gateway_cfg)
+    gateway_cfg = _section(args, file_cfg, "gateway")
+    prm_cfg = _section(args, file_cfg, "prm")
+    chat = build_chat_backend(gateway_cfg)
     # Each episode in flight scores with the PRM at most once at a time.
-    prm, _ = build_prm_backend(prm_cfg, episodes_in_flight(chat))
-    env_cfg = _env_config(file_cfg)
+    prm = build_prm_backend(prm_cfg, episodes_in_flight(chat))
+    env_cfg = _env_config(args, file_cfg)
     trainer_cfg = _trainer_config(args, file_cfg, seed)
 
     questions = evalkit.load_dataset(hard_path)
@@ -389,13 +404,15 @@ def cmd_eval(args) -> int:
     if trials < 1:
         raise ConfigError(f"trials: need at least one, got {trials}")
     out = _out_dir(settings, seed)
-    gateway_cfg = _gateway_section(args, file_cfg)
-    prm_cfg = _section(file_cfg, "prm")
-    chat, chat_offline = build_chat_backend(gateway_cfg)
+    gateway_cfg = _section(args, file_cfg, "gateway")
+    prm_cfg = _section(args, file_cfg, "prm")
+    chat = build_chat_backend(gateway_cfg)
     # Each trial in flight scores with the PRM at most once at a time.
-    prm, prm_offline = build_prm_backend(prm_cfg, chat.max_in_flight)
-    env_cfg = _env_config(file_cfg)
+    prm = build_prm_backend(prm_cfg, chat.max_in_flight)
+    env_cfg = _env_config(args, file_cfg)
 
+    if policy_name not in POLICIES:
+        raise ConfigError(f"unknown policy {policy_name!r}")
     if policy_name == "nav":
         if checkpoint_path is None:
             raise ConfigError("--policy nav needs --checkpoint")
@@ -403,14 +420,14 @@ def cmd_eval(args) -> int:
         policy = evalkit.NavigatorPolicy(net)
     elif policy_name == "fixed-sequence":
         policy = evalkit.FixedSequencePolicy()
-    elif policy_name == "random":
-        policy = evalkit.RandomPolicy(seed)
     else:
-        raise ConfigError(f"unknown policy {policy_name!r}")
+        policy = evalkit.RandomPolicy(seed)
 
     dataset = evalkit.load_dataset(dataset_path)
     cfg = evalkit.EvalConfig(trials=trials, seed=seed, env=env_cfg)
-    report = evalkit.evaluate(policy, dataset, chat, prm, cfg, offline=chat_offline and prm_offline)
+    # Scripted backends take no time, so a fully scripted run zeroes wall times to repeat byte for byte.
+    offline = isinstance(chat, ScriptedChatBackend) and isinstance(prm, ScriptedPrm)
+    report = evalkit.evaluate(policy, dataset, chat, prm, cfg, offline=offline)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report.to_jsonable())
@@ -508,48 +525,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, llm=True):
+    commands = {
+        "mine-hard": (cmd_mine_hard, "keep questions a direct prompt answers wrongly"),
+        "train": (cmd_train, "train the navigator on a hard set"),
+        "eval": (cmd_eval, "evaluate a policy with self-consistency voting"),
+        "synth-train": (cmd_synth_train, "prove the trainer on the synthetic MDP"),
+    }
+    # No abbreviations: --seed would silently mean --seeds, --data --dataset.
+    for command, (func, summary) in commands.items():
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", default=None, help="artifact directory (default: runs/<stamp>-seed<seed>)")
-        if llm:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--base-url", default=None, help="OpenAI-compatible endpoint base URL")
-            p.add_argument("--model", default=None)
-            p.add_argument("--api-key-env", default=None, help="env var holding the API key")
+        flags = dict(SETTINGS[command])
+        for section in SECTIONS[command]:
+            flags.update(SECTION_FLAGS.get(section, {}))
+        for key, default in flags.items():
+            p.add_argument("--" + key.replace("_", "-"), type=_setting_type(default),
+                           choices=POLICIES if key == "policy" else None, help=HELP.get(key))
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("mine-hard", help="keep questions a direct prompt answers wrongly")
-    common(p)
-    p.add_argument("--dataset", default=None, help="JSONL dataset to mine")
-    p.set_defaults(func=cmd_mine_hard)
-
-    p = sub.add_parser("train", help="train the navigator on a hard set")
-    common(p)
-    p.add_argument("--hard-set", default=None, help="JSONL hard set from mine-hard")
-    p.add_argument("--episodes", type=int, default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a policy with self-consistency voting")
-    common(p)
-    p.add_argument("--dataset", default=None, help="JSONL dataset to evaluate")
-    p.add_argument("--policy", default=None, choices=["nav", "fixed-sequence", "random"])
-    p.add_argument("--checkpoint", default=None, help="navigator checkpoint (for --policy nav)")
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_eval)
-
-    # No abbreviations here: --seed would silently mean --seeds.
-    p = sub.add_parser("synth-train", help="prove the trainer on the synthetic MDP", allow_abbrev=False)
-    common(p, llm=False)
-    p.add_argument("--states", type=int, default=None)
-    p.add_argument("--sharpness", type=float, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--seeds", default=None, help="comma-separated trainer seeds")
-    p.add_argument("--mdp-seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--min-pass", type=int, default=None)
-    p.set_defaults(func=cmd_synth_train)
-
-    p = sub.add_parser("inspect", help="describe a checkpoint")
+    p = sub.add_parser("inspect", help="describe a checkpoint", allow_abbrev=False)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_inspect)
 

@@ -40,7 +40,8 @@ class Env(Protocol):
 
     def reset(self) -> StateVector: ...
 
-    def legal_actions(self) -> Sequence[ActionKind]: ...
+    def legal_actions(self) -> Sequence[ActionKind]:
+        """The legal actions, in index order."""
 
     def step(self, action: ActionKind) -> tuple[StateVector, float, bool]: ...
 
@@ -201,8 +202,7 @@ def masked_argmax(q: np.ndarray, legal: Sequence[ActionKind]) -> ActionKind:
     """Greedy action among legal ones; ties go to the lowest action index."""
     if not legal:
         raise ValueError("no legal actions")
-    ordered = sorted(legal, key=int)
-    return max(ordered, key=lambda a: (q[int(a)], -int(a)))
+    return max(legal, key=lambda a: (q[int(a)], -int(a)))
 
 
 def select_action(
@@ -212,13 +212,12 @@ def select_action(
     epsilon: float,
     rng: random.Random,
 ) -> ActionKind:
-    """Epsilon-greedy over the legal action set only."""
-    ordered = sorted(legal, key=int)
-    if not ordered:
+    """Epsilon-greedy over legal, which lists the legal actions in index order."""
+    if not legal:
         raise ValueError("no legal actions")
     if rng.random() < epsilon:
-        return ordered[rng.randrange(len(ordered))]
-    return masked_argmax(net.forward(encode_state(state)), ordered)
+        return legal[rng.randrange(len(legal))]
+    return masked_argmax(net.forward(encode_state(state)), legal)
 
 
 @dataclass(slots=True, eq=False)

@@ -39,6 +39,7 @@ from .gateway import (
     ChatBackend,
     ChatExchange,
     ChatRequest,
+    GatewayAuthError,
     GatewayError,
     PrmBackend,
     UsageLog,
@@ -302,7 +303,8 @@ class ReasoningEpisode:
     """Trainer/eval-facing wrapper running one question to completion.
 
     Parse failures inside a block terminate the episode with reward 0 for
-    that step; gateway and evaluation failures abort it via EpisodeFailure.
+    that step; gateway and evaluation failures abort it via EpisodeFailure,
+    except GatewayAuthError, which propagates: no later episode can succeed.
     """
 
     problem: str
@@ -327,6 +329,8 @@ class ReasoningEpisode:
     def reset(self) -> StateVector:
         try:
             ctx, state, calls = reset(self.problem, self.kind, self.chat, self.cfg)
+        except GatewayAuthError:
+            raise
         except (GatewayError, MalformedEvaluationError) as exc:
             raise EpisodeFailure(f"reset failed: {exc}") from exc
         self._record(calls)
@@ -354,6 +358,8 @@ class ReasoningEpisode:
             self.failed = True
             self.actions.append(action)
             return self.state, 0.0, True
+        except GatewayAuthError:
+            raise
         except (GatewayError, MalformedEvaluationError) as exc:
             raise EpisodeFailure(f"step failed: {exc}") from exc
         self._record(outcome.transcript)

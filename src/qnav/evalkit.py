@@ -23,7 +23,7 @@ from .answers import VoteResult, answers_equivalent, extract_answer, majority_vo
 from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, atomic_write, encode_state
 from .dqn import masked_argmax
 from .env import EnvConfig, ReasoningEpisode
-from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayError, PrmBackend, Usage, UsageLog
+from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayAuthError, GatewayError, PrmBackend, Usage, UsageLog
 from .net import DuelingNet
 from .prompts import render_mining
 
@@ -144,11 +144,17 @@ def mine_hard(
     *,
     usage_log: UsageLog | None = None,
 ) -> MiningResult:
-    """Keep the questions whose directly-prompted answer is wrong or missing."""
+    """Keep the questions whose directly-prompted answer is wrong or missing.
+
+    A gateway error leaves its question undetermined, except GatewayAuthError,
+    which stops the run and propagates.
+    """
 
     def ask(record: QuestionRecord) -> ChatExchange | None:
         try:
             return chat.complete(ChatRequest(prompt=render_mining(record.question, record.kind)))
+        except GatewayAuthError:
+            raise
         except GatewayError as exc:
             log.warning("question %s undetermined: %s", record.id, exc)
             return None
@@ -171,11 +177,11 @@ def mine_hard(
 
 
 class Policy(Protocol):
-    def select(self, state: StateVector, legal: Sequence[ActionKind], actions_taken: int) -> ActionKind: ...
+    def select(self, state: StateVector, legal: Sequence[ActionKind], actions_taken: int) -> ActionKind:
+        """One of legal, which lists the legal actions in index order."""
 
     def for_trial(self, question_index: int, trial: int) -> "Policy":
         """The policy that drives one eval trial; trials may run concurrently."""
-        ...
 
 
 class NavigatorPolicy:
@@ -212,8 +218,7 @@ class RandomPolicy:
         self.rng = random.Random(seed)
 
     def select(self, state: StateVector, legal: Sequence[ActionKind], actions_taken: int) -> ActionKind:
-        ordered = sorted(legal, key=int)
-        return ordered[self.rng.randrange(len(ordered))]
+        return legal[self.rng.randrange(len(legal))]
 
     def for_trial(self, question_index: int, trial: int) -> "RandomPolicy":
         # random.Random hashes a str seed with SHA-512, so a trial's draws

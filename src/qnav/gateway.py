@@ -23,7 +23,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
-DEFAULT_API_KEY_ENV = "QNAV_API_KEY"
 
 T = TypeVar("T")
 
@@ -112,15 +111,6 @@ def call_with_retries(
     raise GatewayRetryError(f"gave up after {max_attempts} attempts") from last
 
 
-def _check_retry_policy(cfg: WireConfig | PrmWireConfig) -> None:
-    if cfg.timeout_s <= 0:
-        raise ValueError("timeout_s must be positive")
-    if cfg.max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    if cfg.backoff_base_s < 0:
-        raise ValueError("backoff_base_s must not be negative")
-
-
 def pooled_session(size: int) -> requests.Session:
     """A requests.Session keeping up to size connections per host.
 
@@ -135,7 +125,7 @@ def pooled_session(size: int) -> requests.Session:
 
 
 def _post_json(
-    session: requests.Session, cfg: WireConfig | PrmWireConfig, path: str, payload: dict
+    session: requests.Session, cfg: EndpointConfig, path: str, payload: dict
 ) -> tuple[object, float]:
     """POST payload to cfg.base_url + path: (decoded JSON body, seconds spent in the POST).
 
@@ -166,9 +156,9 @@ def _post_json(
         raise GatewayProtocolError(f"response body is not JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class WireConfig:
-    """Where and how to reach an OpenAI-compatible chat endpoint.
+@dataclass(frozen=True, kw_only=True)
+class EndpointConfig:
+    """Where and how to reach a wire endpoint, and its retry policy.
 
     The API key is read from the environment variable named by api_key_env;
     if unset, requests go out without an Authorization header (local
@@ -176,15 +166,29 @@ class WireConfig:
     """
 
     base_url: str
-    model: str
-    api_key_env: str = DEFAULT_API_KEY_ENV
+    api_key_env: str = "QNAV_API_KEY"
     timeout_s: float = 120.0
     max_attempts: int = 3
     backoff_base_s: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must not be negative")
+
+
+@dataclass(frozen=True, kw_only=True)
+class WireConfig(EndpointConfig):
+    """An OpenAI-compatible chat endpoint: the model to ask, and the cap on calls in flight."""
+
+    model: str
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
-        _check_retry_policy(self)
+        super().__post_init__()
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
 
@@ -329,18 +333,8 @@ class ScriptedPrm:
         return self.default
 
 
-@dataclass(frozen=True)
-class PrmWireConfig:
-    """Endpoint serving POST {base_url}/score with {problem, reasoning} -> {score}."""
-
-    base_url: str
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    timeout_s: float = 120.0
-    max_attempts: int = 3
-    backoff_base_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_retry_policy(self)
+# The PRM endpoint serves POST {base_url}/score with {problem, reasoning} -> {score}.
+PrmWireConfig = EndpointConfig
 
 
 class WirePrm:

@@ -1,9 +1,11 @@
 """Command-line behaviour: artifacts, stdout contracts, and exit codes.
 
-Every test drives cli.main() in process with scripted backends, so runs are
-deterministic and touch only pytest temp directories.
+Every test drives cli.main() in process with scripted backends, or wire ones
+over a patched HTTP session, so runs are deterministic and touch only pytest
+temp directories.
 """
 
+import argparse
 import functools
 import hashlib
 import json
@@ -12,6 +14,7 @@ import random
 from pathlib import Path
 
 import pytest
+import requests
 
 from conftest import standard_rules
 from qnav import cli, core, evalkit, gateway
@@ -225,7 +228,7 @@ class TestConfigHandling:
         assert "unknown prm backend" in capsys.readouterr().err
 
     def test_wire_prm_keeps_configured_retry_settings(self):
-        prm, offline = cli.build_prm_backend(
+        prm = cli.build_prm_backend(
             {
                 "backend": "wire",
                 "base_url": "http://localhost:9",
@@ -234,7 +237,6 @@ class TestConfigHandling:
             },
             in_flight=1,
         )
-        assert offline is False
         assert isinstance(prm, gateway.WirePrm)
         assert prm.cfg.max_attempts == 5
         assert prm.cfg.backoff_base_s == 0.01
@@ -410,6 +412,92 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["eval", "--policy", "oracle"])
         assert excinfo.value.code == 2
+
+
+class TestParser:
+    """Each subcommand's flags as the parser builds them: their option
+    strings and types (argparse reads an untyped flag as a str), and the
+    --policy choices."""
+
+    FLAGS = {
+        "mine-hard": {"--config": "str", "--out-dir": "str", "--seed": "int", "--base-url": "str",
+                      "--model": "str", "--api-key-env": "str", "--dataset": "str"},
+        "train": {"--config": "str", "--out-dir": "str", "--seed": "int", "--base-url": "str",
+                  "--model": "str", "--api-key-env": "str", "--hard-set": "str", "--episodes": "int"},
+        "eval": {"--config": "str", "--out-dir": "str", "--seed": "int", "--base-url": "str",
+                 "--model": "str", "--api-key-env": "str", "--dataset": "str", "--policy": "str",
+                 "--checkpoint": "str", "--trials": "int"},
+        "synth-train": {"--config": "str", "--out-dir": "str", "--states": "int", "--sharpness": "float",
+                        "--episodes": "int", "--seeds": "str", "--mdp-seed": "int", "--threshold": "float",
+                        "--min-pass": "int"},
+        "inspect": {"--checkpoint": "str"},
+    }
+
+    @staticmethod
+    def options(command):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return {
+            opt: action
+            for action in subparsers.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings
+        }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_each_subcommand_takes_its_pinned_flags(self, command):
+        types = {opt: (action.type or str).__name__ for opt, action in self.options(command).items()}
+        assert types == self.FLAGS[command]
+
+    def test_policy_choices(self):
+        assert list(self.options("eval")["--policy"].choices) == ["nav", "fixed-sequence", "random"]
+
+    def test_abbreviated_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["eval", "--data", "x"])
+        assert excinfo.value.code == 2
+
+    def test_gateway_flags_set_their_section_keys(self):
+        parse = cli.build_parser().parse_args
+        args = parse(["mine-hard", "--base-url", "http://x/v1", "--model", "m", "--api-key-env", "KEY"])
+        assert cli._section(args, {}, "gateway") == {
+            "backend": "openai", "base_url": "http://x/v1", "model": "m", "api_key_env": "KEY",
+        }
+        # --api-key-env alone leaves the backend to the file.
+        args = parse(["mine-hard", "--api-key-env", "KEY"])
+        assert cli._section(args, {"gateway": {"base_url": "u"}}, "gateway") == {"base_url": "u", "api_key_env": "KEY"}
+
+
+class TestRejectedCredentials:
+    """A 401 from either endpoint ends mine-hard, train and eval with exit 4
+    before any artifact is written."""
+
+    WIRE_GATEWAY = {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m"}
+    WIRE_PRM = {"backend": "wire", "base_url": "http://localhost:9"}
+
+    @pytest.fixture(autouse=True)
+    def deny(self, monkeypatch):
+        class Denied:
+            status_code = 401
+            text = ""
+
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: Denied())
+
+    @pytest.mark.parametrize("argv, sections", [
+        (["mine-hard"], {"gateway": WIRE_GATEWAY}),
+        (["train", "--episodes", "3"], {"gateway": WIRE_GATEWAY}),
+        (["train", "--episodes", "3"], {"prm": WIRE_PRM}),
+        (["eval", "--policy", "fixed-sequence"], {"gateway": WIRE_GATEWAY}),
+        (["eval", "--policy", "fixed-sequence"], {"prm": WIRE_PRM}),
+    ], ids=["mine-hard", "train-chat", "train-prm", "eval-chat", "eval-prm"])
+    def test_exits_with_the_gateway_code_and_writes_nothing(self, tmp_path, capsys, argv, sections):
+        cfg = write_config(tmp_path, scripted_config(**sections))
+        data = write_dataset(tmp_path, [numeric_question("q1", "7"), numeric_question("q2", "9")])
+        data_flag = "--hard-set" if argv[0] == "train" else "--dataset"
+        out = tmp_path / "o"
+        code = cli.main([*argv, "--config", cfg, data_flag, data, "--out-dir", str(out)])
+        assert code == cli.EXIT_GATEWAY
+        assert "rejected credentials" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestTrain:
