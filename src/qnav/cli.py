@@ -124,9 +124,10 @@ def _section(args, file_cfg: dict, name: str) -> dict:
 def _coerce(hint, value, name: str):
     """value as a parameter of type hint; name labels errors in nested objects.
 
-    JSON values map onto int, float and str; a union takes the
-    first arm that fits; a tuple or sequence is a list; a frozenset is a list
-    of ActionKind names; any other class is an object read by _from_section.
+    JSON values map onto int, float and str, and a boolean is no number; a
+    union takes the first arm that fits; a tuple or sequence is a list; a
+    frozenset is a list of ActionKind names; any other class is an object
+    read by _from_section.
     """
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
@@ -158,6 +159,8 @@ def _coerce(hint, value, name: str):
         if not isinstance(value, str):
             raise ValueError("expected a string")
         return value
+    if hint in (int, float) and isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
     if hint is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
     if hint in (int, float):
@@ -241,12 +244,13 @@ def _check_seed(seed: int, key: str) -> int:
 
 
 def _write(path: Path, data: str | bytes) -> None:
+    """Write an artifact, making its directory first, so a run stopped before its first artifact leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "wb" if isinstance(data, bytes) else "w") as fh:
         fh.write(data)
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -365,7 +369,6 @@ def cmd_train(args) -> int:
             cfg=env_cfg, question_id=record.id, usage_log=usage,
         )
 
-    out.mkdir(parents=True, exist_ok=True)
     def snapshot(stats: dqn.EpisodeStats, net) -> None:
         n = stats.episode + 1
         if n % CHECKPOINT_EVERY == 0:
@@ -408,7 +411,7 @@ def cmd_eval(args) -> int:
     prm_cfg = _section(args, file_cfg, "prm")
     chat = build_chat_backend(gateway_cfg)
     # Each trial in flight scores with the PRM at most once at a time.
-    prm = build_prm_backend(prm_cfg, chat.max_in_flight)
+    prm = build_prm_backend(prm_cfg, episodes_in_flight(chat))
     env_cfg = _env_config(args, file_cfg)
 
     if policy_name not in POLICIES:
@@ -429,7 +432,6 @@ def cmd_eval(args) -> int:
     offline = isinstance(chat, ScriptedChatBackend) and isinstance(prm, ScriptedPrm)
     report = evalkit.evaluate(policy, dataset, chat, prm, cfg, offline=offline)
 
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report.to_jsonable())
     _write_json(out / "resolved_config.json", {
         "command": args.command,
@@ -472,7 +474,6 @@ def cmd_synth_train(args) -> int:
     trainer_cfgs = [_trainer_config(args, file_cfg, s) for s in seeds]
     results = []
     passed = 0
-    out.mkdir(parents=True, exist_ok=True)
     for s, trainer_cfg in zip(seeds, trainer_cfgs):
         oracle = synthetic.optimal_return(mdp, trainer_cfg.gamma)
         net, stats = dqn.run_training(synthetic.make_env_factory(mdp), trainer_cfg)

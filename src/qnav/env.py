@@ -9,6 +9,11 @@ thread self-evaluates; the chat calls keep their order. If the PRM raises,
 its error wins over any self-evaluation error, and the step always waits for
 the PRM before it raises.
 
+A navigate-only step (evaluation) also skips self-evaluation when the new
+context leaves only Terminate legal: no policy chooses from that state, so
+the step scores inline and keeps the previous state, as Terminate does.
+Training self-evaluates it, since it is the stored transition's next state.
+
 Re-prompts: a structured reply that does not parse is asked for once more with
 the same prompt. If the decompose split or the debate plans still do not
 parse, the step raises StepFailureError, which ReasoningEpisode records as
@@ -52,6 +57,7 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 ALL_BLOCKS = frozenset(ActionKind)
+ONLY_TERMINATE = frozenset({ActionKind.TERMINATE})
 
 
 class IllegalActionError(ValueError):
@@ -112,7 +118,7 @@ def legal_action_set(
 ) -> frozenset[ActionKind]:
     """Masking rules; Terminate is always available, and forced at the end."""
     if answer_present or actions_taken >= max_actions - 1:
-        return frozenset({ActionKind.TERMINATE})
+        return ONLY_TERMINATE
     legal = set(enabled) | {ActionKind.TERMINATE}
     if actions_taken == 0:
         legal.discard(ActionKind.REFINE)  # nothing to refine yet
@@ -232,13 +238,17 @@ def step(
     chat: ChatBackend,
     prm: PrmBackend,
     cfg: EnvConfig = EnvConfig(),
+    *,
+    navigate_only: bool = False,
 ) -> StepOutcome:
     """Execute one logic block; see the module docstring for the contract.
 
     Refine requested on an empty context executes as ReasonOneStep. Any other
     action outside the legal set raises IllegalActionError. After a
     non-terminal block, the PRM scores on a helper thread while this thread
-    self-evaluates; a PRM error wins over a self-evaluation error.
+    self-evaluates; a PRM error wins over a self-evaluation error. With
+    navigate_only, a block after which only Terminate is legal scores inline
+    and returns the previous state unevaluated.
     """
     legal = legal_actions(ctx, cfg)
     executed = action
@@ -265,7 +275,7 @@ def step(
     answer_present = done or extract_answer(text, ctx.dataset_kind) is not None
     new_ctx = ctx.with_step(text, answer_present=answer_present)
     reasoning = render_reasoning(new_ctx)
-    if done:
+    if done or (navigate_only and legal_actions(new_ctx, cfg) == ONLY_TERMINATE):
         reward, next_state = score_process(prm, ctx.problem, reasoning), state
     else:
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -288,12 +298,13 @@ def step(
 
 
 def episodes_in_flight(chat: ChatBackend) -> int:
-    """Training episodes to keep in flight on chat: 2C - 1 for a cap of C calls.
+    """Episodes to keep in flight on chat, in training and eval: 2C - 1 for a cap of C calls.
 
-    The trainer waits on its episodes in a fixed order, so up to C - 1 that
-    are done with their step can sit parked behind the one it waits on; the
-    other C still keep every chat slot busy. The backend holds its calls at
-    C itself. C = 1 gives 1: the sequential trainer.
+    Up to C - 1 episodes can be off chat at once: in training, done with
+    their step and parked behind the one the trainer waits on in its fixed
+    order; in eval, waiting on the PRM or the policy. The other C still keep
+    every chat slot busy. The backend holds its calls at C itself. C = 1
+    gives 1: one episode at a time.
     """
     return 2 * chat.max_in_flight - 1
 
@@ -305,6 +316,7 @@ class ReasoningEpisode:
     Parse failures inside a block terminate the episode with reward 0 for
     that step; gateway and evaluation failures abort it via EpisodeFailure,
     except GatewayAuthError, which propagates: no later episode can succeed.
+    navigate_only episodes (eval) pass navigate_only to every step.
     """
 
     problem: str
@@ -314,6 +326,7 @@ class ReasoningEpisode:
     cfg: EnvConfig = EnvConfig()
     question_id: str = ""
     usage_log: UsageLog | None = None
+    navigate_only: bool = False
 
     ctx: ReasoningContext | None = field(default=None, init=False)
     state: StateVector | None = field(default=None, init=False)
@@ -352,7 +365,8 @@ class ReasoningEpisode:
     def step(self, action: ActionKind) -> tuple[StateVector, float, bool]:
         assert self.ctx is not None and self.state is not None, "reset() first"
         try:
-            outcome = step(self.ctx, self.state, action, self.chat, self.prm, self.cfg)
+            outcome = step(self.ctx, self.state, action, self.chat, self.prm, self.cfg,
+                           navigate_only=self.navigate_only)
         except StepFailureError as exc:
             log.warning("question %s: %s", self.question_id or "?", exc)
             self.failed = True

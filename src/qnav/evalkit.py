@@ -3,8 +3,15 @@
 Datasets are JSONL files, one record per line with fields id, question,
 answer, kind. Mining keeps the questions a direct prompt gets wrong;
 evaluation runs several independent trajectories per question and votes.
-Both run their independent calls or episodes on up to chat.max_in_flight
-threads and assemble the results in dataset order.
+Mining runs its calls on up to chat.max_in_flight threads; evaluation runs
+its trials on up to episodes_in_flight(chat) = 2C - 1 threads for a chat cap
+of C, so a trial waiting on the PRM leaves no chat slot idle, while the
+backend still holds its calls at C. Both assemble the results in dataset
+order.
+
+Eval trials only navigate: no policy is asked once only Terminate is legal,
+and the state after the block that forces Terminate is not self-evaluated
+(see env). Training still self-evaluates it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 from .answers import VoteResult, answers_equivalent, extract_answer, majority_vote
 from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, atomic_write, encode_state
 from .dqn import masked_argmax
-from .env import EnvConfig, ReasoningEpisode
+from .env import EnvConfig, ReasoningEpisode, episodes_in_flight
 from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayAuthError, GatewayError, PrmBackend, Usage, UsageLog
 from .net import DuelingNet
 from .prompts import render_mining
@@ -228,12 +235,20 @@ class RandomPolicy:
 
 
 def run_episode(episode: ReasoningEpisode, policy: Policy) -> None:
-    """Drive one question to termination under a policy."""
+    """Drive one question to termination under a policy.
+
+    A forced Terminate is taken without asking the policy, so a policy never
+    sees the unevaluated state a navigate-only step leaves before it.
+    """
     state = episode.reset()
     done = False
     while not done:
         assert episode.ctx is not None
-        action = policy.select(state, episode.legal_actions(), episode.ctx.actions_taken)
+        legal = episode.legal_actions()
+        if legal == [ActionKind.TERMINATE]:
+            action = ActionKind.TERMINATE
+        else:
+            action = policy.select(state, legal, episode.ctx.actions_taken)
         state, _, done = episode.step(action)
 
 
@@ -303,11 +318,12 @@ def evaluate(
 ) -> RunReport:
     """Run trials per question, vote over extracted answers, score accuracy.
 
-    The (question, trial) episodes run on up to chat.max_in_flight threads,
-    each under policy.for_trial(question index, trial). A question's
-    wall_time_s runs from its first trial's start to its last trial's end;
-    offline=True zeroes it so fully scripted runs produce byte-identical
-    reports.
+    The (question, trial) episodes are navigate-only and run on up to
+    episodes_in_flight(chat) threads, each under policy.for_trial(question
+    index, trial). A question's wall_time_s runs from its first trial's
+    start to its last trial's end, so it includes time its trials waited for
+    a chat slot; offline=True zeroes it so fully scripted runs produce
+    byte-identical reports.
     """
     usage_log = UsageLog()
 
@@ -323,6 +339,7 @@ def evaluate(
             cfg=cfg.env,
             question_id=record.id,
             usage_log=usage_log,
+            navigate_only=True,
         )
         try:
             run_episode(episode, policy.for_trial(index, trial))
@@ -333,7 +350,7 @@ def evaluate(
         return _TrialOutcome(started, time.monotonic(), episode.final_answer, actions)
 
     jobs = [(index, trial) for index in range(len(dataset)) for trial in range(cfg.trials)]
-    outcomes = _map_in_order(run_trial, jobs, chat.max_in_flight)
+    outcomes = _map_in_order(run_trial, jobs, episodes_in_flight(chat))
     results: list[QuestionResult] = []
     n_correct = 0
     for index, record in enumerate(dataset):

@@ -80,8 +80,9 @@ class ChatExchange:
 
 class ChatBackend(Protocol):
     # How many complete() calls may run at once. The backend enforces it: a
-    # complete() call waits while max_in_flight others are running. evaluate
-    # and mine_hard size their worker pools from it, training its episodes.
+    # complete() call waits while max_in_flight others are running. mine_hard
+    # sizes its worker pool from it; evaluate and training keep
+    # env.episodes_in_flight (2 * max_in_flight - 1) episodes in flight.
     max_in_flight: int
 
     def complete(self, request: ChatRequest) -> ChatExchange: ...

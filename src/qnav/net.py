@@ -222,6 +222,9 @@ class DuelingNet:
         return self.backward_batch(x[None, :], np.asarray(dq, dtype=np.float64)[None, :])
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
 class Adam:
     """Adam with bias correction.
 
@@ -232,6 +235,11 @@ class Adam:
     The moments are flat, like the net's parameter buffer, so one step is a
     handful of whole-buffer operations. The learning rate is passed per step
     so an external schedule can drive it.
+
+    m decays by beta1 per step where the gradient stays 0, and would turn
+    subnormal after about 6,900 steps, which makes every later step several
+    times slower. Entries below the smallest normal float are flushed to 0;
+    an m that small moves no parameter by even one ulp.
     """
 
     def __init__(self, net: DuelingNet, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -250,6 +258,7 @@ class Adam:
         m, v = self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
+        m[np.abs(m) < _TINY] = 0.0
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         net.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -333,6 +333,25 @@ class TestConfigHandling:
         assert code == cli.EXIT_CONFIG
         assert f"{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, key", [
+        ("eval", {"trials": True}, "trials"),
+        ("synth-train", {"threshold": False}, "threshold"),
+        ("train", {"trainer": {"episodes": True}}, "trainer.episodes"),
+        ("train", {"env": {"temperature": True}}, "env.temperature"),
+    ], ids=["trials", "threshold", "trainer.episodes", "env.temperature"])
+    def test_json_boolean_for_a_number_is_a_config_error(self, tmp_path, capsys, command, doc, key):
+        # int(True) is 1: without the check, {"trials": true} would run one trial.
+        cfg = write_config(tmp_path, scripted_config(**doc))
+        data = write_dataset(tmp_path, [numeric_question("q", "7")])
+        inputs = {
+            "eval": ["--dataset", data, "--policy", "fixed-sequence"],
+            "train": ["--hard-set", data],
+            "synth-train": ["--episodes", "1"],
+        }[command]
+        code = cli.main([command, "--config", cfg, *inputs, "--out-dir", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert f"{key}: expected a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["mine-hard", "train", "eval", "synth-train"])
     @pytest.mark.parametrize("key", ["trails", "episodes"])  # a typo; a trainer key at the top level
     def test_unknown_top_level_key_is_a_config_error(self, tmp_path, capsys, command, key):
@@ -469,7 +488,7 @@ class TestParser:
 
 class TestRejectedCredentials:
     """A 401 from either endpoint ends mine-hard, train and eval with exit 4
-    before any artifact is written."""
+    before any artifact is written, so no output directory is made."""
 
     WIRE_GATEWAY = {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m"}
     WIRE_PRM = {"backend": "wire", "base_url": "http://localhost:9"}
@@ -497,7 +516,7 @@ class TestRejectedCredentials:
         code = cli.main([*argv, "--config", cfg, data_flag, data, "--out-dir", str(out)])
         assert code == cli.EXIT_GATEWAY
         assert "rejected credentials" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestTrain:
@@ -721,7 +740,7 @@ class TestEval:
         assert "eval needs --dataset" in capsys.readouterr().err
 
     def test_wire_prm_pools_a_connection_per_trial_in_flight(self, tmp_path, monkeypatch):
-        # A chat cap of 12 runs 12 trials at once, each with a PRM call in flight.
+        # A chat cap of 12 runs 2 * 12 - 1 = 23 trials at once, each with a PRM call in flight.
         class Stop(Exception):
             pass
 
@@ -742,7 +761,7 @@ class TestEval:
                       "--out-dir", str(tmp_path / "o")])
         (prm,) = prms
         adapter = prm._session.get_adapter("http://localhost:9/score")
-        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 12
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 23
 
 
 class TestSynthTrain:
@@ -857,11 +876,11 @@ class TestGoldenArtifacts:
     )
 
     DIGESTS = {
-        "eval-fixed/report.json": "4acb9fb24595e196e813188b046404215412d4afc18606909444c99dd2895113",
+        "eval-fixed/report.json": "189584786e0f1350b13222eb11213fd3f106dd351d5647f7ecb7e792893f7049",
         "eval-fixed/resolved_config.json": "dbeee6a5aa338139d253197270b242671d389b129a306d63e8abc1bd160c032b",
-        "eval-nav/report.json": "9c7b050dad2f96da7c5da08f59e894bc8311ebbfde2fc5e2885b09ad65f76744",
+        "eval-nav/report.json": "8beca1095d8abb00cbaf9330bb300a529b9928aae2977d0d1f8b1e21f5c700b0",
         "eval-nav/resolved_config.json": "d4ac6b4a821ac4c7ea120e2c656b7aa81daafc8bb0548fbbfa0b9f80ca66c3ee",
-        "eval-random/report.json": "cac505564128fbf2b93bca2e1bcb15c01575f8b94e8000eff9cc70791c744610",
+        "eval-random/report.json": "f1b39cd0063106d5a373fb15e4e452ad83a982a14f04165c91c9c26fad015b69",
         "eval-random/resolved_config.json": "91e8db65e54ac782cf54dfa1a8dcbfafcdff4c77a8e558c50174064831fc84d6",
         "mine/hard_set.jsonl": "85b2bdbc6f9bb273736aab1f522935660010ccedf6440198ab3c4d03f7109188",
         "mine/mining_summary.json": "6a7344f59a465edea63067b6621f2d6bb878baeac02a9788238494c38f49b874",

@@ -570,6 +570,57 @@ class TestPrmOverlap:
         assert ep.actions == []
 
 
+class TestNavigateOnly:
+    """Eval steps: once only Terminate is legal, the new context is not
+    self-evaluated; training steps still evaluate it as the next state."""
+
+    def answering_rules(self):
+        rules = list(standard_rules())
+        rules[1] = ScriptedRule("reason exactly ONE more step", "3+4=7. The answer is 7.")
+        return rules
+
+    @pytest.mark.parametrize("cfg, rules", [
+        (EnvConfig(max_actions=2), standard_rules), (EnvConfig(), "answering"),
+    ], ids=["budget-spent", "answer-present"])
+    def test_forced_terminate_state_is_not_self_evaluated(self, cfg, rules):
+        chat = ScriptedChatBackend(self.answering_rules() if rules == "answering" else rules())
+        threads = []
+
+        class RecordingPrm:
+            def score(self, problem, reasoning):
+                threads.append(threading.get_ident())
+                return 0.75
+
+        ctx, state, _ = make_ctx(chat, cfg)
+        out = step(ctx, state, R, chat, RecordingPrm(), cfg, navigate_only=True)
+        assert legal_actions(out.ctx, cfg) == {T}
+        assert [c.stage for c in out.transcript] == ["reason_one_step"]
+        assert out.state is state  # the previous state, as Terminate returns it
+        assert out.reward == 0.75 and threads == [threading.get_ident()]
+        assert out.done is False
+
+    def test_training_step_evaluates_the_forced_terminate_state(self, prm):
+        chat = ScriptedChatBackend(self.answering_rules())
+        ctx, state, _ = make_ctx(chat)
+        out = step(ctx, state, R, chat, prm)
+        assert legal_actions(out.ctx, EnvConfig()) == {T}
+        assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
+
+    def test_step_with_a_choice_left_is_evaluated(self, chat, prm):
+        ctx, state, _ = make_ctx(chat)
+        out = step(ctx, state, R, chat, prm, navigate_only=True)
+        assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
+
+    def test_episode_passes_the_mode_to_its_steps(self, prm):
+        chat = ScriptedChatBackend(self.answering_rules())
+        ep = ReasoningEpisode(problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm, navigate_only=True)
+        state = ep.reset()
+        assert ep.step(R) == (state, 0.5, False)
+        assert ep.step(T)[2] is True
+        assert ep.final_answer == "7"
+        assert sum(TestPrmOverlap.SELF_EVAL in e.request.prompt for e in chat.call_log) == 1  # reset's only
+
+
 class TestGoldenTranscript:
     """Every prompt, reply, reward and state of scripted episodes that take
     each block and each re-prompt ending: recovered, failed, and fallback."""

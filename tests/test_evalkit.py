@@ -12,7 +12,7 @@ import pytest
 from qnav import evalkit
 from qnav.core import ActionKind, DatasetKind, StateVector, encode_state
 from qnav.dqn import masked_argmax
-from qnav.env import EnvConfig, ReasoningEpisode
+from qnav.env import EnvConfig, ReasoningEpisode, episodes_in_flight
 from qnav.evalkit import (
     DatasetError,
     EvalConfig,
@@ -247,6 +247,22 @@ class TestRunEpisode:
         assert 1 <= len(episode.actions) <= 5
         assert episode.actions[-1] is T
 
+    def test_policy_is_not_asked_once_only_terminate_is_legal(self, chat, prm):
+        asked = []
+
+        class Recording(FixedSequencePolicy):
+            def select(self, state, legal, actions_taken):
+                asked.append(list(legal))
+                return super().select(state, legal, actions_taken)
+
+        episode = ReasoningEpisode(
+            problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm, cfg=EnvConfig(max_actions=3),
+            navigate_only=True,
+        )
+        run_episode(episode, Recording())
+        assert episode.actions == [DEC, R, T]
+        assert len(asked) == 2 and all(len(legal) > 1 for legal in asked)
+
 
 class TestEvalConfig:
     def test_rejects_zero_trials(self):
@@ -361,6 +377,15 @@ class TestEvaluate:
             assert q.tie_broken is True
             assert q.final_answer == random.Random(0 + i).choice(["1", "2"])
 
+    def test_trials_skip_the_self_evaluation_of_a_forced_terminate(self, sample_questions):
+        # Decompose, Reason, Refine on a budget of 4 forces Terminate: reset
+        # and the first two blocks self-evaluate, Refine's context does not.
+        chat = ScriptedChatBackend(standard_rules())
+        evaluate(FixedSequencePolicy(), [sample_questions[0]], chat, ScriptedPrm(),
+                 EvalConfig(trials=2, env=EnvConfig(max_actions=4)), offline=True)
+        self_evals = sum("Please evaluate the current step" in e.request.prompt for e in chat.call_log)
+        assert self_evals == 2 * 3
+
     def test_report_json_is_stable(self, sample_questions):
         chat1 = ScriptedChatBackend(standard_rules())
         chat2 = ScriptedChatBackend(standard_rules())
@@ -444,17 +469,20 @@ class TestConcurrentEvalAndMining:
         assert [r.id for r in mined.hard] == ["m3", "m6"]
 
     def crashing_trial_setup(self, crash):
-        """Four workers, four questions of three trials. The first four
-        trials meet at a barrier, so all four have started before trial
-        (1, 0) calls crash(); the other three keep running for 0.3 s more.
-        started lists the trials that began."""
-        ready = threading.Barrier(4, timeout=10)
+        """A chat cap of 4 runs 2 * 4 - 1 = 7 trials at once; four questions
+        of three trials. The first seven trials meet at a barrier, so all
+        seven have started before trial (1, 0) calls crash(); the other six
+        keep running for 0.3 s more. started lists the trials that began,
+        first the seven that run at once."""
+        chat = PooledScriptedChat(standard_rules(), max_in_flight=4)
+        first = [(q, t) for q in range(4) for t in range(3)][:episodes_in_flight(chat)]
+        ready = threading.Barrier(len(first), timeout=10)
         started = []
 
         class CrashingPolicy(FixedSequencePolicy):
             def for_trial(self, question_index, trial):
                 started.append((question_index, trial))
-                if (question_index, trial) < (1, 1):
+                if (question_index, trial) in first:
                     ready.wait()
                     if (question_index, trial) == (1, 0):
                         crash()
@@ -463,8 +491,12 @@ class TestConcurrentEvalAndMining:
                 return self
 
         dataset = [record(f"q{i}", f"What is 3 + 4? ({i})", "7") for i in range(4)]
-        chat = PooledScriptedChat(standard_rules(), max_in_flight=4)
-        return CrashingPolicy(), dataset, chat, started
+        return CrashingPolicy(), dataset, chat, started, first
+
+    @staticmethod
+    def terminated(chat):
+        """Trials that reached their Terminate call."""
+        return sum("numerical_answer" in e.request.prompt for e in chat.call_log)
 
     def test_unexpected_error_propagates_and_no_queued_trial_starts(self, monkeypatch):
         error = RuntimeError("navigator crashed")
@@ -481,12 +513,14 @@ class TestConcurrentEvalAndMining:
 
         real_wait = evalkit.wait
         monkeypatch.setattr(evalkit, "wait", slow_wait)
-        policy, dataset, chat, started = self.crashing_trial_setup(crash)
+        policy, dataset, chat, started, first = self.crashing_trial_setup(crash)
         with pytest.raises(RuntimeError) as excinfo:
             evaluate(policy, dataset, chat, ScriptedPrm(), EvalConfig(trials=3), offline=True)
         assert excinfo.value is error
-        assert sorted(started) == [(0, 0), (0, 1), (0, 2), (1, 0)]
-        assert chat.active == 0  # the trials already running finished first
+        assert sorted(started) == first
+        # The six trials already running finished first.
+        assert chat.active == 0
+        assert self.terminated(chat) == len(first) - 1
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
     def test_ctrl_c_propagates_and_no_queued_trial_starts(self):
@@ -494,24 +528,28 @@ class TestConcurrentEvalAndMining:
             time.sleep(0.05)  # the caller has queued every trial and waits
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
-        policy, dataset, chat, started = self.crashing_trial_setup(ctrl_c)
+        policy, dataset, chat, started, first = self.crashing_trial_setup(ctrl_c)
         previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             with pytest.raises(KeyboardInterrupt):
                 evaluate(policy, dataset, chat, ScriptedPrm(), EvalConfig(trials=3), offline=True)
         finally:
             signal.signal(signal.SIGINT, previous)
-        assert sorted(started) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+        assert sorted(started) == first
         assert chat.active == 0
+        assert self.terminated(chat) == len(first)
 
 
 class _Reply:
     status_code = 200
     text = ""
 
+    def __init__(self, content="The answer is 2."):
+        self.content = content
+
     def json(self):
         return {
-            "choices": [{"message": {"content": "The answer is 2."}}],
+            "choices": [{"message": {"content": self.content}}],
             "usage": {"prompt_tokens": 3, "completion_tokens": 4},
         }
 
@@ -549,3 +587,43 @@ def test_wire_backend_never_exceeds_its_in_flight_cap_under_mining():
         results = [f.result(timeout=30) for f in [outer.submit(mine_hard, run, chat) for run in runs]]
     assert session.peak == 2
     assert all(r.hard == () and r.undetermined == () for r in results)
+
+
+class ScriptedSession:
+    """Stands in for requests.Session: each chat POST pauses briefly, then
+    answers from standard_rules; peak is the most POSTs seen in flight at
+    once, threads the threads that posted."""
+
+    RULES = standard_rules()
+
+    def __init__(self):
+        self.active = 0
+        self.peak = 0
+        self.threads = set()
+        self._count = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._count:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.threads.add(threading.get_ident())
+        try:
+            time.sleep(0.002)
+        finally:
+            with self._count:
+                self.active -= 1
+        prompt = json["messages"][0]["content"]
+        return _Reply(next(r.response for r in self.RULES if r.contains in prompt))
+
+
+def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval():
+    # A cap of 2 runs 2 * 2 - 1 = 3 trials at once: three threads compete for two slots.
+    session = ScriptedSession()
+    chat = OpenAIChatBackend(
+        WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
+    )
+    dataset = [record(f"e{i}", f"What is 3 + 4? ({i})", "7") for i in range(3)]
+    report = evaluate(FixedSequencePolicy(), dataset, chat, ScriptedPrm(), EvalConfig(trials=3))
+    assert report.correct == 3
+    assert len(session.threads) == 3
+    assert session.peak == 2

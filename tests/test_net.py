@@ -307,6 +307,26 @@ class TestAdam:
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(net.params[k], before[k])
 
+    def test_zero_gradients_leave_no_subnormal_moment(self):
+        # After ~6,900 zero-gradient steps m would be subnormal; it is flushed
+        # to 0 instead, and the parameters match unflushed Adam bit for bit.
+        rng = np.random.default_rng(3)
+        net = DuelingNet.initialize(5, (4, 3))
+        opt = Adam(net)
+        flat, m, v = net.flat.copy(), np.zeros_like(net.flat), np.zeros_like(net.flat)
+        tiny = np.finfo(np.float64).tiny
+        for t in range(1, 7101):
+            grads = {k: (rng.normal(size=net.params[k].shape) if t <= 5 else np.zeros(net.params[k].shape))
+                     for k in PARAM_KEYS}
+            opt.step(net, grads, lr=0.01)
+            g = np.concatenate([grads[k] for k in PARAM_KEYS], axis=None)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            flat -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert np.any((m != 0) & (np.abs(m) < tiny))  # the reference did go subnormal
+        assert not np.any((opt.m != 0) & (np.abs(opt.m) < tiny))
+        np.testing.assert_array_equal(net.flat, flat)
+
     def test_per_call_learning_rate(self):
         make_grads = lambda net: {
             k: np.ones_like(net.params[k]) for k in PARAM_KEYS
