@@ -447,7 +447,8 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_train(args) -> int:
     file_cfg = _load_config_file(args.config)
-    if file_cfg.get("seed") is not None:
+    # Another command's resolved_config.json records that command's own seed.
+    if file_cfg.get("seed") is not None and file_cfg.get("command", args.command) == args.command:
         raise ConfigError("seed: synth-train takes its trainer seeds as seeds (comma-separated)")
     settings = _settings(args, file_cfg)
     try:

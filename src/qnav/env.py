@@ -3,15 +3,13 @@
 A step executes one logic block against the chat backend, appends exactly one
 durable reasoning step, scores the accumulated reasoning with the process
 reward model, and, unless the block was Terminate, self-evaluates the new
-context to produce the next state. Both read only the new context, so a
-non-terminal step runs the PRM score on a helper thread while the calling
-thread self-evaluates; the chat calls keep their order. If the PRM raises,
-its error wins over any self-evaluation error, and the step always waits for
-the PRM before it raises.
+context to produce the next state. All of it runs on the calling thread, in
+that order: the PRM scores before self-evaluation, so a PRM error ends the
+step before any self-evaluation call is sent.
 
 A navigate-only step (evaluation) also skips self-evaluation when the new
 context leaves only Terminate legal: no policy chooses from that state, so
-the step scores inline and keeps the previous state, as Terminate does.
+the step keeps the previous state, as Terminate does.
 Training self-evaluates it, since it is the stored transition's next state.
 
 Re-prompts: a structured reply that does not parse is asked for once more with
@@ -25,7 +23,6 @@ the most complete report and defaults the aspects it still lacks to 0.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -127,11 +124,6 @@ def legal_action_set(
 
 def legal_actions(ctx: ReasoningContext, cfg: EnvConfig) -> frozenset[ActionKind]:
     return legal_action_set(ctx.answer_present, ctx.actions_taken, cfg.max_actions, cfg.enabled_blocks)
-
-
-def render_reasoning(ctx: ReasoningContext) -> str:
-    """Numbered steps only; what the process reward model sees as reasoning."""
-    return "\n".join(f"Step {i}: {s}" for i, s in enumerate(ctx.steps, 1))
 
 
 def initial_context(question: str, kind: DatasetKind) -> ReasoningContext:
@@ -244,11 +236,9 @@ def step(
     """Execute one logic block; see the module docstring for the contract.
 
     Refine requested on an empty context executes as ReasonOneStep. Any other
-    action outside the legal set raises IllegalActionError. After a
-    non-terminal block, the PRM scores on a helper thread while this thread
-    self-evaluates; a PRM error wins over a self-evaluation error. With
-    navigate_only, a block after which only Terminate is legal scores inline
-    and returns the previous state unevaluated.
+    action outside the legal set raises IllegalActionError. With
+    navigate_only, a block after which only Terminate is legal returns the
+    previous state unevaluated.
     """
     legal = legal_actions(ctx, cfg)
     executed = action
@@ -274,17 +264,11 @@ def step(
     done = executed is ActionKind.TERMINATE
     answer_present = done or extract_answer(text, ctx.dataset_kind) is not None
     new_ctx = ctx.with_step(text, answer_present=answer_present)
-    reasoning = render_reasoning(new_ctx)
+    reward = score_process(prm, ctx.problem, prompts.format_steps(new_ctx))
     if done or (navigate_only and legal_actions(new_ctx, cfg) == ONLY_TERMINATE):
-        reward, next_state = score_process(prm, ctx.problem, reasoning), state
+        next_state = state
     else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            scored = pool.submit(score_process, prm, ctx.problem, reasoning)
-            try:
-                next_state = _self_evaluate(pipe, new_ctx)
-            finally:
-                # Waits for the PRM; an error it raised replaces self-evaluation's.
-                reward = scored.result()
+        next_state = _self_evaluate(pipe, new_ctx)
     return StepOutcome(
         ctx=new_ctx,
         state=next_state,
@@ -298,15 +282,15 @@ def step(
 
 
 def episodes_in_flight(chat: ChatBackend) -> int:
-    """Episodes to keep in flight on chat, in training and eval: 2C - 1 for a cap of C calls.
+    """Episodes to keep in flight on chat, in training and eval: 3C - 2 for a cap of C calls.
 
-    Up to C - 1 episodes can be off chat at once: in training, done with
+    C episodes keep every chat slot busy. Up to C - 1 more can be done with
     their step and parked behind the one the trainer waits on in its fixed
-    order; in eval, waiting on the PRM or the policy. The other C still keep
-    every chat slot busy. The backend holds its calls at C itself. C = 1
-    gives 1: one episode at a time.
+    order, and up to C - 1 more can wait on the PRM or the policy. The
+    backend holds its calls at C itself. C = 1 gives 1: one episode at a
+    time.
     """
-    return 2 * chat.max_in_flight - 1
+    return 3 * chat.max_in_flight - 2
 
 
 @dataclass

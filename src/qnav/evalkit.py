@@ -4,10 +4,10 @@ Datasets are JSONL files, one record per line with fields id, question,
 answer, kind. Mining keeps the questions a direct prompt gets wrong;
 evaluation runs several independent trajectories per question and votes.
 Mining runs its calls on up to chat.max_in_flight threads; evaluation runs
-its trials on up to episodes_in_flight(chat) = 2C - 1 threads for a chat cap
-of C, so a trial waiting on the PRM leaves no chat slot idle, while the
-backend still holds its calls at C. Both assemble the results in dataset
-order.
+its trials on up to episodes_in_flight(chat) = 3C - 2 threads for a chat cap
+of C, so trials waiting on the PRM or the policy leave no chat slot idle,
+while the backend still holds its calls at C. Both assemble the results in
+dataset order.
 
 Eval trials only navigate: no policy is asked once only Terminate is legal,
 and the state after the block that forces Terminate is not self-evaluated

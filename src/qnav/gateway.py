@@ -82,7 +82,7 @@ class ChatBackend(Protocol):
     # How many complete() calls may run at once. The backend enforces it: a
     # complete() call waits while max_in_flight others are running. mine_hard
     # sizes its worker pool from it; evaluate and training keep
-    # env.episodes_in_flight (2 * max_in_flight - 1) episodes in flight.
+    # env.episodes_in_flight (3 * max_in_flight - 2) episodes in flight.
     max_in_flight: int
 
     def complete(self, request: ChatRequest) -> ChatExchange: ...
@@ -339,10 +339,12 @@ PrmWireConfig = EndpointConfig
 
 
 class WirePrm:
-    def __init__(self, cfg: PrmWireConfig, session: requests.Session | None = None,
+    """PRM client; session's connection pool should fit the score calls made at once."""
+
+    def __init__(self, cfg: PrmWireConfig, session: requests.Session,
                  sleep: Callable[[float], None] = time.sleep):
         self.cfg = cfg
-        self._session = session or requests.Session()
+        self._session = session
         self._sleep = sleep
 
     def score(self, problem: str, reasoning: str) -> float:

@@ -24,12 +24,14 @@ class MalformedEvaluationError(ParseFailure):
     """A self-evaluation response carried no aspect markers at all."""
 
 
+def format_steps(ctx: ReasoningContext) -> str:
+    """The numbered reasoning steps so far; what the process reward model scores."""
+    return "\n".join(f"Step {i}: {step}" for i, step in enumerate(ctx.steps, 1))
+
+
 def format_context(ctx: ReasoningContext) -> str:
     """Problem text followed by the numbered reasoning steps so far."""
-    lines = [ctx.problem]
-    for i, step in enumerate(ctx.steps, 1):
-        lines.append(f"Step {i}: {step}")
-    return "\n".join(lines)
+    return f"{ctx.problem}\n{format_steps(ctx)}" if ctx.steps else ctx.problem
 
 
 SELF_EVAL_BODY = (

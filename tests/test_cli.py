@@ -565,7 +565,7 @@ class TestTrain:
         assert not list(out.glob("checkpoint_ep*.json"))
 
     def test_wire_prm_pools_a_connection_per_episode_in_flight(self, tmp_path, monkeypatch):
-        # A chat cap of 6 trains 11 episodes at once, each with a PRM call in flight.
+        # A chat cap of 6 trains 3 * 6 - 2 = 16 episodes at once, each with a PRM call in flight.
         class Stop(Exception):
             pass
 
@@ -584,9 +584,9 @@ class TestTrain:
         with pytest.raises(Stop):
             cli.main(["train", "--config", cfg, "--hard-set", data, "--out-dir", str(tmp_path / "o")])
         (env,) = envs
-        assert env.max_in_flight == 11
+        assert env.max_in_flight == 16
         adapter = env.prm._session.get_adapter("http://localhost:9/score")
-        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 11
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 16
 
     def test_resolved_config_reproduces_the_run(self, tmp_path):
         doc = scripted_config(
@@ -740,7 +740,7 @@ class TestEval:
         assert "eval needs --dataset" in capsys.readouterr().err
 
     def test_wire_prm_pools_a_connection_per_trial_in_flight(self, tmp_path, monkeypatch):
-        # A chat cap of 12 runs 2 * 12 - 1 = 23 trials at once, each with a PRM call in flight.
+        # A chat cap of 12 runs 3 * 12 - 2 = 34 trials at once, each with a PRM call in flight.
         class Stop(Exception):
             pass
 
@@ -761,7 +761,7 @@ class TestEval:
                       "--out-dir", str(tmp_path / "o")])
         (prm,) = prms
         adapter = prm._session.get_adapter("http://localhost:9/score")
-        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 23
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 34
 
 
 class TestSynthTrain:
@@ -860,6 +860,20 @@ class TestSynthTrain:
         err = capsys.readouterr().err
         assert "seed: " in err and "seeds" in err
         assert not (tmp_path / "o").exists()
+
+    def test_accepts_another_commands_resolved_config(self, tmp_path):
+        # train's resolved_config.json records train's seed, which synth-train does not read.
+        cfg = write_config(tmp_path, scripted_config(seed=4, trainer={"episodes": 3, "batch_size": 2, "widths": [5, 4]}))
+        data = write_dataset(tmp_path, [numeric_question("hard", "9")])
+        first = tmp_path / "train"
+        assert cli.main(["train", "--config", cfg, "--hard-set", data, "--out-dir", str(first)]) == cli.EXIT_OK
+        resolved = str(first / "resolved_config.json")
+        out = tmp_path / "synth"
+        code = cli.main(["synth-train", "--config", resolved, "--episodes", "1", "--out-dir", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)  # one episode need not pass
+        synth = json.loads((out / "resolved_config.json").read_text())
+        assert synth["command"] == "synth-train" and "seed" not in synth
+        assert synth["trainer"]["widths"] == [5, 4]
 
 
 class TestGoldenArtifacts:

@@ -653,7 +653,7 @@ class TestEpisodesInFlight:
         assert not train_workers()
 
     def test_wire_chat_keeps_its_cap_with_surplus_episodes(self, caplog, sample_questions):
-        # A cap of 2 chat calls gives 3 episodes in flight; the backend makes the third wait.
+        # A cap of 2 chat calls gives 4 episodes in flight; the backend makes the others wait.
         caplog.set_level(logging.INFO, logger="qnav.dqn")
 
         def train():
@@ -672,7 +672,7 @@ class TestEpisodesInFlight:
             return save_checkpoint(net, seed=1, episodes=16), stats_table(stats)
 
         assert train() == train()
-        assert caplog.messages.count("episodes in flight: 3") == 2
+        assert caplog.messages.count("episodes in flight: 4") == 2
         assert not train_workers()
 
     @pytest.mark.parametrize("in_flight, steps, checkpoint_digest, table_digest", [

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,15 +14,15 @@ from qnav.env import (
     IllegalActionError,
     ReasoningEpisode,
     StepFailureError,
+    episodes_in_flight,
     initial_context,
     legal_action_set,
     legal_actions,
-    render_reasoning,
     reset,
     step,
 )
 from qnav.gateway import GatewayError, ScriptedChatBackend, ScriptedPrm, ScriptedRule, UsageLog
-from qnav.prompts import MalformedEvaluationError
+from qnav.prompts import MalformedEvaluationError, format_steps
 
 from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, block_calls, standard_rules
 
@@ -396,12 +397,12 @@ class TestRenderReasoning:
     def test_numbered_steps_without_problem(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, R, chat, prm)
-        text = render_reasoning(out.ctx)
+        text = format_steps(out.ctx)
         assert text == "Step 1: We compute 3+4=7."
         assert "What is 3 + 4?" not in text
 
     def test_empty_context_renders_empty(self):
-        assert render_reasoning(initial_context("q?", NUM)) == ""
+        assert format_steps(initial_context("q?", NUM)) == ""
 
 
 class TestReasoningEpisode:
@@ -457,6 +458,16 @@ class TestReasoningEpisode:
         with pytest.raises(EpisodeFailure):
             ep.step(R)
 
+    def test_malformed_self_evaluation_mid_episode(self, prm):
+        rules = list(standard_rules())
+        rules[0] = ScriptedRule("Please evaluate the current step", [EVAL_RESPONSE, "hmm.", "hmm."])
+        ep = self.make(ScriptedChatBackend(rules), prm)
+        ep.reset()
+        with pytest.raises(EpisodeFailure) as excinfo:
+            ep.step(R)
+        assert type(excinfo.value.__cause__) is MalformedEvaluationError
+        assert ep.actions == []
+
     def test_usage_log_collects_all_subcalls(self, chat, prm):
         logbook = UsageLog()
         ep = self.make(chat, prm, question_id="q9", usage_log=logbook)
@@ -480,60 +491,41 @@ class TestReasoningEpisode:
         assert ep.final_answer is None
 
 
+@pytest.mark.parametrize("cap, episodes", [(1, 1), (2, 4), (4, 10)])
+def test_episodes_in_flight_is_three_per_chat_slot_less_two(cap, episodes):
+    assert episodes_in_flight(SimpleNamespace(max_in_flight=cap)) == episodes
+
+
 class TestPrmOverlap:
-    """A non-terminal step scores with the PRM while the LLM self-evaluates.
+    """The PRM scores on the calling thread, after the block's chat calls and
+    before any self-evaluation prompt; a PRM error ends the step there."""
 
-    GatedPrm.score returns only once the chat backend has received a given
-    self-evaluation prompt, so a step that ran the two one after the other
-    would time out in the PRM.
-    """
-
-    GATE_TIMEOUT_S = 5.0
     SELF_EVAL = "Please evaluate the current step"
 
-    class GatedChat(ScriptedChatBackend):
-        """Opens gate when the open_at-th self-evaluation prompt arrives."""
+    class OrderedPrm:
+        """Records, per score call, its thread and how many chat calls came before it."""
 
-        def __init__(self, rules, open_at):
-            super().__init__(rules)
-            self.gate = threading.Event()
-            self.open_at = open_at
-            self.self_evals = 0
-
-        def complete(self, request):
-            if TestPrmOverlap.SELF_EVAL in request.prompt:
-                self.self_evals += 1
-                if self.self_evals == self.open_at:
-                    self.gate.set()
-            return super().complete(request)
-
-    class GatedPrm:
-        def __init__(self, gate, error=None):
-            self.gate = gate
+        def __init__(self, chat, error=None):
+            self.chat = chat
             self.error = error
-            self.threads = []
-            self.finished = threading.Event()
+            self.calls = []
 
         def score(self, problem, reasoning):
-            self.threads.append(threading.get_ident())
-            try:
-                if not self.gate.wait(TestPrmOverlap.GATE_TIMEOUT_S):
-                    raise TimeoutError("self-evaluation did not start while the PRM was scoring")
-                if self.error is not None:
-                    raise self.error
-                return 0.25
-            finally:
-                self.finished.set()
+            self.calls.append((threading.get_ident(), len(self.chat.call_log)))
+            if self.error is not None:
+                raise self.error
+            return 0.25
 
-    def test_prm_scores_while_self_evaluation_runs(self):
-        chat = self.GatedChat(standard_rules(), open_at=2)  # reset's evaluation, then the step's
-        prm = self.GatedPrm(chat.gate)
+    def test_non_terminal_step_scores_inline_before_self_evaluation(self, chat):
         ctx, state, _ = make_ctx(chat)
-        out = step(ctx, state, R, chat, prm)
-        assert out.reward == 0.25
-        assert out.state == EVAL_STATE
-        assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
-        assert prm.threads != [threading.get_ident()]
+        prm = self.OrderedPrm(chat)
+        out = step(ctx, state, DEC, chat, prm)
+        assert out.reward == 0.25 and out.state == EVAL_STATE
+        stages = [c.stage for c in out.transcript]
+        assert stages == ["decompose_split", "decompose_execute", "decompose_execute", "decompose_summary",
+                          "self_eval"]
+        # reset's evaluation and the four block calls came before the score, the step's evaluation after.
+        assert prm.calls == [(threading.get_ident(), 1 + 4)]
 
     def test_terminal_step_scores_inline_without_self_evaluation(self, chat):
         threads = []
@@ -549,24 +541,14 @@ class TestPrmOverlap:
         assert threads == [threading.get_ident()]
         assert [c.stage for c in out.transcript] == ["terminate"]
 
-    @pytest.mark.parametrize("prm_fails, self_eval_fails, surfaces", [
-        (True, True, GatewayError),
-        (False, True, MalformedEvaluationError),
-        (True, False, GatewayError),
-    ], ids=["both-fail", "self-eval-fails", "prm-fails"])
-    def test_error_order(self, prm_fails, self_eval_fails, surfaces):
-        rules = list(standard_rules())
-        if self_eval_fails:
-            rules[0] = ScriptedRule(self.SELF_EVAL, [EVAL_RESPONSE, "hmm.", "hmm."])
-        # The PRM answers once the step's last self-evaluation prompt is out.
-        chat = self.GatedChat(rules, open_at=3 if self_eval_fails else 2)
-        prm = self.GatedPrm(chat.gate, GatewayError("prm down") if prm_fails else None)
+    def test_prm_error_ends_the_step_before_self_evaluation(self, chat):
+        prm = self.OrderedPrm(chat, GatewayError("prm down"))
         ep = ReasoningEpisode(problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm)
         ep.reset()
         with pytest.raises(EpisodeFailure) as excinfo:
             ep.step(R)
-        assert type(excinfo.value.__cause__) is surfaces
-        assert prm.finished.is_set()  # the step waited for the PRM before it raised
+        assert type(excinfo.value.__cause__) is GatewayError
+        assert [self.SELF_EVAL in e.request.prompt for e in chat.call_log] == [True, False]  # reset's, the block's
         assert ep.actions == []
 
 

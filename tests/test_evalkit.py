@@ -469,11 +469,11 @@ class TestConcurrentEvalAndMining:
         assert [r.id for r in mined.hard] == ["m3", "m6"]
 
     def crashing_trial_setup(self, crash):
-        """A chat cap of 4 runs 2 * 4 - 1 = 7 trials at once; four questions
-        of three trials. The first seven trials meet at a barrier, so all
-        seven have started before trial (1, 0) calls crash(); the other six
-        keep running for 0.3 s more. started lists the trials that began,
-        first the seven that run at once."""
+        """A chat cap of 4 runs 3 * 4 - 2 = 10 trials at once; four questions
+        of three trials. The first ten trials meet at a barrier, so all ten
+        have started before trial (1, 0) calls crash(); the other nine keep
+        running for 0.3 s more. started lists the trials that began, first
+        the ten that run at once."""
         chat = PooledScriptedChat(standard_rules(), max_in_flight=4)
         first = [(q, t) for q in range(4) for t in range(3)][:episodes_in_flight(chat)]
         ready = threading.Barrier(len(first), timeout=10)
@@ -518,7 +518,7 @@ class TestConcurrentEvalAndMining:
             evaluate(policy, dataset, chat, ScriptedPrm(), EvalConfig(trials=3), offline=True)
         assert excinfo.value is error
         assert sorted(started) == first
-        # The six trials already running finished first.
+        # The nine trials already running finished first.
         assert chat.active == 0
         assert self.terminated(chat) == len(first) - 1
 
@@ -617,7 +617,7 @@ class ScriptedSession:
 
 
 def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval():
-    # A cap of 2 runs 2 * 2 - 1 = 3 trials at once: three threads compete for two slots.
+    # A cap of 2 runs 3 * 2 - 2 = 4 trials at once: four threads compete for two slots.
     session = ScriptedSession()
     chat = OpenAIChatBackend(
         WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
@@ -625,5 +625,5 @@ def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval():
     dataset = [record(f"e{i}", f"What is 3 + 4? ({i})", "7") for i in range(3)]
     report = evaluate(FixedSequencePolicy(), dataset, chat, ScriptedPrm(), EvalConfig(trials=3))
     assert report.correct == 3
-    assert len(session.threads) == 3
+    assert len(session.threads) == 4
     assert session.peak == 2

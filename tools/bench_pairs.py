@@ -5,9 +5,16 @@
 The parent side is a clean export (git archive) of --parent; the change
 side is this working tree. Both run their own, unmodified perfbench/run.py
 with --trace 0 for BENCHMARK.json's run_seconds. Pair k runs seed
-SEEDS[k % 3] on both sides, and the side that runs first alternates. The summary holds, per end-to-end metric named in
-BENCHMARK.json, each side's median and quartiles (inclusive method), the
-number of pairs the change won, and the ratio of the medians.
+SEEDS[k % 3] on both sides, and the side that runs first alternates. The
+summary holds, per end-to-end metric named in BENCHMARK.json, each side's
+median and quartiles (inclusive method), the number of pairs the change won,
+the ratio of the medians, and two verdicts:
+
+- worse_beyond_bound: the change's median is worse than the parent's by more
+  than the metric's bound, as a fraction of the parent's median.
+- gain_shown: the change was better in at least 9 of every 10 pairs, and its
+  median is better than the parent's by more than the parent's quartile
+  spread (q3 - q1).
 """
 
 from __future__ import annotations
@@ -67,8 +74,12 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "exit_code": proc.returncode}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = quartiles(values)
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
 
 
@@ -82,13 +93,17 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         parent = [p["parent"]["metrics"][name]["value"] for p in both]
         change = [p["change"]["metrics"][name]["value"] for p in both]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        (q1, parent_median, q3), change_median = quartiles(parent), statistics.median(change)
+        gain = change_median - parent_median if higher else parent_median - change_median
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "parent": spread(parent),
             "change": spread(change),
             "change_better_pairs": wins,
-            "change_over_parent_median": round(statistics.median(change) / statistics.median(parent), 4),
+            "change_over_parent_median": round(change_median / parent_median, 4),
+            "worse_beyond_bound": -gain > metric["bound"] * abs(parent_median),
+            "gain_shown": 10 * wins >= 9 * len(both) and gain > q3 - q1,
         }
     return summary
 
@@ -143,7 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, s in doc["summary"].items():
         print(f"{name}: parent {s['parent']['median']} change {s['change']['median']} "
-              f"(x{s['change_over_parent_median']}, change better in {s['change_better_pairs']}/{len(pairs)})")
+              f"(x{s['change_over_parent_median']}, change better in {s['change_better_pairs']}/{len(pairs)}; "
+              f"worse beyond bound: {s['worse_beyond_bound']}, gain shown: {s['gain_shown']})")
     print(f"wrote {out}")
     return 0 if doc["all_checks_passed"] else 1
 
