@@ -3,8 +3,9 @@
 Values resolve as flags over config file over defaults, and every run writes
 the merged result to resolved_config.json in its output directory, so a run
 can be reproduced from that file alone. Exit codes: 0 success, 2 config or
-usage error, 3 data error (datasets, checkpoints, files), 4 gateway error,
-5 verification failure (synth-train below threshold). Every artifact is
+usage error, 3 data error (datasets, checkpoints, files), 4 gateway error
+or a run in which nothing succeeded, 5 verification failure (synth-train
+below threshold). Every artifact is
 written with core.atomic_write, so a crash leaves the old file or the new
 one, never a truncated one.
 """
@@ -310,6 +311,12 @@ def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
 # -- commands -------------------------------------------------------------------
 
 
+def _nothing_done(what: str, out: Path) -> int:
+    """Exit code for a run in which nothing succeeded; its artifacts stay as the evidence."""
+    print(f"gateway error: {what}; artifacts in {out}", file=sys.stderr)
+    return EXIT_GATEWAY
+
+
 def cmd_mine_hard(args) -> int:
     file_cfg = _load_config_file(args.config)
     settings = _settings(args, file_cfg)
@@ -335,6 +342,8 @@ def cmd_mine_hard(args) -> int:
         "usage": dataclasses.asdict(usage.totals()),
     })
     _write_json(out / "resolved_config.json", {"command": args.command, **settings, "gateway": gateway_cfg})
+    if result.total and len(result.undetermined) == result.total:
+        return _nothing_done(f"all {result.total} questions undetermined", out)
     print(f"kept {len(result.hard)} of {result.total} questions "
           f"({100.0 * result.proportion:.2f}% hard, {len(result.undetermined)} undetermined)")
     print(f"artifacts in {out}")
@@ -377,7 +386,9 @@ def cmd_train(args) -> int:
 
     net, stats = dqn.run_training(env_factory, trainer_cfg, on_episode=snapshot)
 
-    _write(out / "checkpoint_final.json", save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes))
+    stepped = any(s.steps for s in stats)
+    if stepped:
+        _write(out / "checkpoint_final.json", save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes))
     _write(out / "reward_curve.tsv", dqn.stats_table(stats))
     _write_json(out / "usage.json", {**dataclasses.asdict(usage.totals()), "calls": usage.calls})
     _write_json(out / "resolved_config.json", {
@@ -388,6 +399,8 @@ def cmd_train(args) -> int:
         "trainer": _to_section(trainer_cfg, "seed"),
         "env": _to_section(env_cfg),
     })
+    if not stepped:
+        return _nothing_done(f"no episode of {trainer_cfg.episodes} took a step, so no checkpoint_final.json", out)
     mean_return = sum(s.episode_return for s in stats) / len(stats)
     print(f"trained {trainer_cfg.episodes} episodes (seed {seed}); mean return {mean_return:.4f}")
     print(f"artifacts in {out}")
@@ -440,6 +453,8 @@ def cmd_eval(args) -> int:
         "prm": prm_cfg,
         "env": _to_section(env_cfg),
     })
+    if report.total and report.failed_trials == report.total * trials:
+        return _nothing_done(f"all {report.failed_trials} trials failed", out)
     print(f"accuracy {report.correct}/{report.total} = {report.accuracy:.4f}")
     print(f"artifacts in {out}")
     return EXIT_OK

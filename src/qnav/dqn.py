@@ -106,17 +106,6 @@ class Batch(NamedTuple):
     next_states: np.ndarray  # (B, STATE_DIM) float64
     done: np.ndarray  # (B,) bool
 
-    @classmethod
-    def of(cls, transitions: Sequence[Transition]) -> "Batch":
-        """Encode transitions held outside a replay buffer."""
-        return cls(
-            np.stack([encode_state(t.state) for t in transitions]),
-            np.array([int(t.action) for t in transitions]),
-            np.array([t.reward for t in transitions], dtype=np.float64),
-            np.stack([encode_state(t.next_state) for t in transitions]),
-            np.array([t.done for t in transitions], dtype=bool),
-        )
-
 
 class ReplayBuffer:
     """The last `capacity` transitions, encoded, in preallocated ring arrays.
@@ -170,8 +159,8 @@ class ReplayBuffer:
 
 def td_targets(batch: Batch, online: DuelingNet, target: DuelingNet, gamma: float) -> np.ndarray:
     """Double-DQN regression targets for a batch, shape (B,)."""
-    best = online.forward_batch(batch.next_states).argmax(axis=1)
-    next_q = target.forward_batch(batch.next_states)[np.arange(len(best)), best]
+    best = online.forward_batch(batch.next_states)[0].argmax(axis=1)
+    next_q = target.forward_batch(batch.next_states)[0][np.arange(len(best)), best]
     return batch.rewards + np.where(batch.done, 0.0, gamma * next_q)
 
 
@@ -185,7 +174,7 @@ def train_step(
 ) -> float:
     """One gradient step on mean squared TD error; returns the loss."""
     y = td_targets(batch, online, target, gamma)
-    q, cache = online.forward_batch_cached(batch.states)
+    q, cache = online.forward_batch(batch.states)
     n = len(y)
     rows = np.arange(n)
     taken = q[rows, batch.actions]
@@ -193,8 +182,7 @@ def train_step(
     loss = float(np.mean(diff * diff))
     dq = np.zeros_like(q)
     dq[rows, batch.actions] = 2.0 * diff / n
-    grads = online.backward_batch(batch.states, dq, cache)
-    adam.step(online, grads, lr)
+    adam.step(online, online.backward_batch(dq, cache), lr)
     return loss
 
 

@@ -271,6 +271,7 @@ class _TrialOutcome(NamedTuple):
     ended: float
     answer: str | None  # None when the episode failed or extracted nothing
     actions: tuple[str, ...]  # action names; empty when the episode failed
+    failed: bool = False  # the episode raised EpisodeFailure
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,7 @@ class RunReport:
     correct: int
     total: int
     usage: Usage
+    failed_trials: int  # trials that ended in EpisodeFailure; not written to report.json
 
     @property
     def accuracy(self) -> float:
@@ -345,7 +347,7 @@ def evaluate(
             run_episode(episode, policy.for_trial(index, trial))
         except EpisodeFailure as exc:
             log.warning("question %s trial %d failed: %s", record.id, trial, exc)
-            return _TrialOutcome(started, time.monotonic(), None, ())
+            return _TrialOutcome(started, time.monotonic(), None, (), failed=True)
         actions = tuple(a.name for a in episode.actions)
         return _TrialOutcome(started, time.monotonic(), episode.final_answer, actions)
 
@@ -394,4 +396,5 @@ def evaluate(
         correct=n_correct,
         total=len(dataset),
         usage=usage_log.totals(),
+        failed_trials=sum(t.failed for t in outcomes),
     )

@@ -8,7 +8,8 @@ Architecture, for state dimension 7 and 5 actions:
     Q(x) = V + A - mean(A)
 
 Gradients are derived analytically; the aggregation layer backprops as
-dV = sum(dQ), dA = dQ - mean(dQ).
+dV = sum(dQ), dA = dQ - mean(dQ). Backward returns the gradient laid out like
+the parameters' flat buffer, so Adam steps it as one array.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ def parameter_count(widths: tuple[int, int]) -> int:
     return sum(math.prod(shape) for shape in _param_shapes(widths).values())
 
 
+def _views(flat: np.ndarray, widths: tuple[int, int]) -> dict[str, np.ndarray]:
+    """One shaped view into flat per parameter, in PARAM_KEYS order."""
+    views, offset = {}, 0
+    for k, shape in _param_shapes(widths).items():
+        size = math.prod(shape)
+        views[k] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 class _Cache(NamedTuple):
     """Forward activations kept for the backward pass."""
 
@@ -77,19 +88,13 @@ class DuelingNet:
             raise ValueError(f"missing parameters: {missing}")
         arrays = {k: np.asarray(params[k], dtype=np.float64) for k in PARAM_KEYS}
         self.widths = (arrays["b1"].shape[0], arrays["b2"].shape[0])
-        shapes = _param_shapes(self.widths)
-        for k, shape in shapes.items():
+        for k, shape in _param_shapes(self.widths).items():
             if arrays[k].shape != shape:
                 raise ValueError(f"parameter {k} has shape {arrays[k].shape}, expected {shape}")
         self.flat = np.empty(parameter_count(self.widths))
-        self.params: dict[str, np.ndarray] = {}
-        offset = 0
-        for k, shape in shapes.items():
-            size = arrays[k].size
-            view = self.flat[offset : offset + size].reshape(shape)
+        self.params = _views(self.flat, self.widths)
+        for k, view in self.params.items():
             view[...] = arrays[k]
-            self.params[k] = view
-            offset += size
 
     @classmethod
     def initialize(cls, seed: int, widths: tuple[int, int] = DEFAULT_WIDTHS) -> "DuelingNet":
@@ -156,70 +161,50 @@ class DuelingNet:
         advantage = h2 @ p["wa"].T + p["ba"]
         return value, advantage, _Cache(x, z1, h1, z2, h2)
 
-    def value_and_advantage(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = self._check_input(x, batched=False)
-        value, advantage, _ = self._forward(x)
-        return float(value), advantage
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Q-values for one state, shape (5,)."""
-        value, advantage = self.value_and_advantage(x)
+        value, advantage, _ = self._forward(self._check_input(x, batched=False))
         # sum / count is exactly what ndarray.mean computes, minus its overhead
         return value + advantage - advantage.sum() / NUM_ACTIONS
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Q-values for a batch of states, shape (B, 5)."""
-        return self.forward_batch_cached(x)[0]
-
-    def forward_batch_cached(self, x: np.ndarray) -> tuple[np.ndarray, _Cache]:
-        """forward_batch plus the activations that backward_batch can reuse."""
-        x = self._check_input(x, batched=True)
-        value, advantage, cache = self._forward(x)
+    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, _Cache]:
+        """Q-values for a batch of states, shape (B, 5), and the activations backward_batch reads."""
+        value, advantage, cache = self._forward(self._check_input(x, batched=True))
         q = value[:, None] + advantage - advantage.sum(axis=1, keepdims=True) / NUM_ACTIONS
         return q, cache
 
     # -- backward -----------------------------------------------------------
 
-    def backward_batch(
-        self, x: np.ndarray, dq: np.ndarray, cache: _Cache | None = None
-    ) -> dict[str, np.ndarray]:
-        """Gradients of sum_b dq[b] . Q(x[b]) w.r.t. every parameter.
+    def backward_batch(self, dq: np.ndarray, cache: _Cache) -> np.ndarray:
+        """Gradient of sum_b dq[b] . Q(x[b]) w.r.t. every parameter, laid out like flat.
 
-        dq is the upstream gradient per row; gradients are summed over the
-        batch, so mean-loss scaling belongs in dq itself. cache, when given,
-        must come from forward_batch_cached(x) with the current parameters;
-        it saves recomputing the forward pass.
+        cache comes from forward_batch(x) with the current parameters; dq is
+        the upstream gradient per row. Gradients are summed over the batch,
+        so mean-loss scaling belongs in dq itself.
         """
-        if cache is None:
-            _, _, cache = self._forward(self._check_input(x, batched=True))
         dq = np.asarray(dq, dtype=np.float64)
         if dq.shape != (cache.x.shape[0], NUM_ACTIONS):
             raise ValueError(f"bad upstream gradient shape {dq.shape}")
         p = self.params
+        grad = np.empty_like(self.flat)
+        g = _views(grad, self.widths)
 
         dvalue = dq.sum(axis=1)
         dadv = dq - dq.sum(axis=1, keepdims=True) / NUM_ACTIONS
+        np.matmul(cache.h2.T, dvalue, out=g["wv"])
+        dvalue.sum(axis=0, keepdims=True, out=g["bv"])
+        np.matmul(dadv.T, cache.h2, out=g["wa"])
+        dadv.sum(axis=0, out=g["ba"])
 
-        grads = {
-            "wv": cache.h2.T @ dvalue,
-            "bv": np.array([dvalue.sum()]),
-            "wa": dadv.T @ cache.h2,
-            "ba": dadv.sum(axis=0),
-        }
         dh2 = dvalue[:, None] * p["wv"][None, :] + dadv @ p["wa"]
         dz2 = dh2 * (cache.z2 > 0.0)
-        grads["w2"] = dz2.T @ cache.h1
-        grads["b2"] = dz2.sum(axis=0)
+        np.matmul(dz2.T, cache.h1, out=g["w2"])
+        dz2.sum(axis=0, out=g["b2"])
         dh1 = dz2 @ p["w2"]
         dz1 = dh1 * (cache.z1 > 0.0)
-        grads["w1"] = dz1.T @ cache.x
-        grads["b1"] = dz1.sum(axis=0)
-        return grads
-
-    def backward(self, x: np.ndarray, dq: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of dq . Q(x) for a single state."""
-        x = self._check_input(x, batched=False)
-        return self.backward_batch(x[None, :], np.asarray(dq, dtype=np.float64)[None, :])
+        np.matmul(dz1.T, cache.x, out=g["w1"])
+        dz1.sum(axis=0, out=g["b1"])
+        return grad
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -232,9 +217,9 @@ class Adam:
         v <- beta2*v + (1-beta2)*g^2      vhat = v / (1 - beta2^t)
         theta <- theta - lr * mhat / (sqrt(vhat) + eps)
 
-    The moments are flat, like the net's parameter buffer, so one step is a
-    handful of whole-buffer operations. The learning rate is passed per step
-    so an external schedule can drive it.
+    The moments and the gradient g are flat, laid out like the net's
+    parameter buffer, so one step is a handful of whole-buffer operations.
+    The learning rate is passed per step so an external schedule can drive it.
 
     m decays by beta1 per step where the gradient stays 0, and would turn
     subnormal after about 6,900 steps, which makes every later step several
@@ -250,11 +235,10 @@ class Adam:
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
 
-    def step(self, net: DuelingNet, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, net: DuelingNet, g: np.ndarray, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        g = np.concatenate([grads[k] for k in PARAM_KEYS], axis=None)
         m, v = self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
@@ -305,4 +289,6 @@ def load_checkpoint(data: bytes) -> tuple[DuelingNet, dict]:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if meta["widths"] != net.widths:
         raise CheckpointError(f"widths field {meta['widths']} does not match parameters {net.widths}")
+    if not np.isfinite(net.flat).all():
+        raise CheckpointError("checkpoint has non-finite parameters")
     return net, meta

@@ -9,12 +9,15 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from qnav.core import DatasetKind
+from qnav.core import DatasetKind, encode_state
+from qnav.dqn import Batch
 from qnav.env import EnvConfig
 from qnav.evalkit import QuestionRecord, save_dataset
 from qnav.gateway import ScriptedChatBackend, ScriptedPrm, ScriptedRule
+from qnav.net import PARAM_KEYS
 
 EVAL_RESPONSE = (
     "A1 score=2 reason=premises restated\n"
@@ -41,6 +44,35 @@ SUBTASKS_RESPONSE = (
 def block_calls(outcome):
     """Sub-calls a step's logic block made, self-evaluation excluded."""
     return tuple(c for c in outcome.transcript if c.stage != "self_eval")
+
+
+def batch_of(transitions):
+    """Encode transitions held outside a replay buffer as a Batch."""
+    return Batch(
+        np.stack([encode_state(t.state) for t in transitions]),
+        np.array([int(t.action) for t in transitions]),
+        np.array([t.reward for t in transitions], dtype=np.float64),
+        np.stack([encode_state(t.next_state) for t in transitions]),
+        np.array([t.done for t in transitions], dtype=bool),
+    )
+
+
+def gradient_of(net, x, dq):
+    """Gradient of dq . Q(x) for one state x, one array per parameter.
+
+    backward_batch on a batch of one, split from its flat layout (PARAM_KEYS
+    order, like net.flat) into the parameters' shapes.
+    """
+    flat = net.backward_batch(dq[None], net.forward_batch(x[None])[1])
+    ends = np.cumsum([net.params[k].size for k in PARAM_KEYS])
+    return {k: part.reshape(net.params[k].shape) for k, part in zip(PARAM_KEYS, np.split(flat, ends[:-1]))}
+
+
+def value_and_advantage(net, x):
+    """V and A for one state x, from the forward pass's last hidden layer and the head parameters."""
+    h2 = net.forward_batch(x[None])[1].h2[0]
+    p = net.params
+    return h2 @ p["wv"] + p["bv"][0], h2 @ p["wa"].T + p["ba"]
 
 
 def standard_rules():

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import block_calls, standard_rules
+from conftest import batch_of, block_calls, gradient_of, standard_rules, value_and_advantage
 from qnav import cli, env, synthetic
 from qnav.answers import answers_equivalent, extract_answer, majority_vote
 from qnav.core import (
@@ -24,7 +24,7 @@ from qnav.core import (
     Transition,
     encode_state,
 )
-from qnav.dqn import Batch, TrainerConfig, epsilon_at, lr_at, run_training, td_targets
+from qnav.dqn import TrainerConfig, epsilon_at, lr_at, run_training, td_targets
 from qnav.env import EnvConfig, legal_action_set
 from qnav.evalkit import QuestionRecord, mine_hard, save_dataset
 from qnav.gateway import (
@@ -99,7 +99,7 @@ def test_criterion_01_gradient_fidelity():
         widths = WIDTHS_CYCLE[trial % len(WIDTHS_CYCLE)]
         net, x = _kink_clear_sample(rng, widths, margin=10 * h)
         dq = rng.normal(size=NUM_ACTIONS)
-        grads = net.backward(x, dq)
+        grads = gradient_of(net, x, dq)
         unperturbed = {k: v[None] for k, v in net.params.items()}
         assert np.max(np.abs(_stacked_q(unperturbed, x)[0] - net.forward(x))) <= 1e-12
         for key in sorted(net.params):
@@ -129,7 +129,7 @@ def test_criterion_02_dueling_identity_and_advantage_shift():
         net = DuelingNet.initialize(int(rng.integers(1_000_000)), widths)
         x = rng.uniform(0.0, 1.0, size=STATE_DIM)
         q = net.forward(x)
-        value, advantage = net.value_and_advantage(x)
+        value, advantage = value_and_advantage(net, x)
         recombined = value + advantage - advantage.mean()
         assert np.max(np.abs(q - recombined)) <= 1e-12
 
@@ -170,18 +170,18 @@ def test_criterion_03_double_dqn_targets_match_scalar_oracle():
             target = DuelingNet.initialize(int(rng.integers(1_000_000)), (8, 6))
         gamma = gammas[batch_idx % len(gammas)]
         batch = [_random_transition(rng) for _ in range(8)]
-        got = td_targets(Batch.of(batch), online, target, gamma)
+        got = td_targets(batch_of(batch), online, target, gamma)
         for i, t in enumerate(batch):
             expected = _scalar_double_dqn_target(t, online, target, gamma)
             assert abs(float(got[i]) - expected) <= 1e-12
 
     done_batch = [_random_transition(rng, done=True) for _ in range(16)]
     rewards = np.array([t.reward for t in done_batch])
-    assert np.array_equal(td_targets(Batch.of(done_batch), online, target, 0.9), rewards)
+    assert np.array_equal(td_targets(batch_of(done_batch), online, target, 0.9), rewards)
 
     live_batch = [_random_transition(rng, done=False) for _ in range(16)]
     rewards = np.array([t.reward for t in live_batch])
-    assert np.array_equal(td_targets(Batch.of(live_batch), online, target, 0.0), rewards)
+    assert np.array_equal(td_targets(batch_of(live_batch), online, target, 0.0), rewards)
 
 
 def test_criterion_04_schedules_exact_values():

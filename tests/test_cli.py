@@ -519,6 +519,57 @@ class TestRejectedCredentials:
         assert not out.exists()
 
 
+class TestNothingDone:
+    """A run in which every chat call failed exits 4 and keeps its other
+    artifacts as the evidence; a run with some success still exits 0."""
+
+    UNMATCHED = {"backend": "scripted", "rules": [{"contains": "no prompt holds this", "response": "x"}]}
+
+    def run(self, tmp_path, argv, records, gateway_cfg=UNMATCHED):
+        cfg = write_config(tmp_path, scripted_config(gateway=gateway_cfg))
+        data_flag = "--hard-set" if argv[0] == "train" else "--dataset"
+        out = tmp_path / "o"
+        code = cli.main([*argv, "--config", cfg, data_flag, write_dataset(tmp_path, records), "--out-dir", str(out)])
+        return code, out
+
+    def test_train_with_no_env_step_writes_no_final_checkpoint(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, ["train", "--episodes", "5"], [numeric_question("q", "9")])
+        assert code == cli.EXIT_GATEWAY
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gateway error: no episode of 5 took a step")
+        assert not (out / "checkpoint_final.json").exists()
+        assert len((out / "reward_curve.tsv").read_text().splitlines()) == 1 + 5
+        assert json.loads((out / "usage.json").read_text())["calls"] == 0
+        assert (out / "resolved_config.json").exists()
+
+    def test_eval_with_every_trial_failed(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, ["eval", "--policy", "fixed-sequence", "--trials", "2"],
+                             [numeric_question("q1", "7"), numeric_question("q2", "9")])
+        assert code == cli.EXIT_GATEWAY
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gateway error: all 4 trials failed")
+        report = json.loads((out / "report.json").read_text())
+        assert report["correct"] == 0 and report["total"] == 2
+        assert "failed_trials" not in report
+        assert (out / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("answered, code", [((), cli.EXIT_GATEWAY), (("3 + 4",), cli.EXIT_OK)],
+                             ids=["all-undetermined", "one-undetermined"])
+    def test_mine_hard_with_every_question_undetermined(self, tmp_path, capsys, answered, code):
+        rules = [{"contains": c, "response": "The answer is 7."} for c in answered]
+        records = [numeric_question("q1", "7"), QuestionRecord(
+            id="q2", question="What is 5 + 6?", answer="11", kind=DatasetKind.ELEMENTARY_MATH_NUMERIC)]
+        got, out = self.run(tmp_path, ["mine-hard"], records, {"backend": "scripted", "rules": rules})
+        assert got == code
+        summary = json.loads((out / "mining_summary.json").read_text())
+        assert summary["undetermined"] == ["q1", "q2"][len(answered):]
+        err = capsys.readouterr().err.splitlines()
+        if code == cli.EXIT_GATEWAY:
+            assert err == [f"gateway error: all 2 questions undetermined; artifacts in {out}"]
+        else:
+            assert not err
+
+
 class TestTrain:
     def test_trains_and_writes_artifacts(self, tmp_path, capsys, caplog):
         caplog.set_level(logging.INFO, logger="qnav.dqn")

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PooledScriptedChat, standard_rules
+from conftest import PooledScriptedChat, batch_of, standard_rules
 from qnav import dqn
 from qnav.core import ActionKind, EpisodeFailure, StateVector, Transition, encode_state
 from qnav.dqn import (
     STATS_FIELDS,
     Adam,
-    Batch,
     EpisodeStats,
     ReplayBuffer,
     TrainerConfig,
@@ -162,7 +161,7 @@ class TestReplayBuffer:
         for n in {0, len(fifo) // 2, len(fifo)}:
             ring_rng, ref_rng = random.Random(seed), random.Random(seed)
             got = buf.sample(n, ring_rng)
-            want = Batch.of(ref_rng.sample(list(fifo), n)) if n else None
+            want = batch_of(ref_rng.sample(list(fifo), n)) if n else None
             assert ring_rng.getstate() == ref_rng.getstate()
             if want is None:
                 assert all(len(column) == 0 for column in got)
@@ -194,7 +193,7 @@ class TestTdTargets:
         target = DuelingNet.initialize(2, (6, 5))
         for _ in range(50):
             batch = [make_transition(rng, done=rng.random() < 0.3) for _ in range(8)]
-            got = td_targets(Batch.of(batch), online, target, 0.9)
+            got = td_targets(batch_of(batch), online, target, 0.9)
             want = scalar_td_oracle(batch, online, target, 0.9)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -203,7 +202,7 @@ class TestTdTargets:
         online = DuelingNet.initialize(0, (4, 4))
         target = DuelingNet.initialize(9, (4, 4))
         batch = [make_transition(rng, done=True) for _ in range(5)]
-        got = td_targets(Batch.of(batch), online, target, 0.9)
+        got = td_targets(batch_of(batch), online, target, 0.9)
         assert list(got) == [t.reward for t in batch]
 
     def test_gamma_zero_reduces_to_rewards(self):
@@ -211,7 +210,7 @@ class TestTdTargets:
         online = DuelingNet.initialize(0, (4, 4))
         target = online.clone()
         batch = [make_transition(rng) for _ in range(6)]
-        got = td_targets(Batch.of(batch), online, target, 0.0)
+        got = td_targets(batch_of(batch), online, target, 0.0)
         assert list(got) == [t.reward for t in batch]
 
     def test_selection_uses_online_evaluation_uses_target(self):
@@ -225,7 +224,7 @@ class TestTdTargets:
         nx = encode_state(t.next_state)
         best = int(np.argmax(online.forward(nx)))
         want = 0.9 * float(target.forward(nx)[best])
-        got = float(td_targets(Batch.of([t]), online, target, 0.9)[0])
+        got = float(td_targets(batch_of([t]), online, target, 0.9)[0])
         assert abs(got - want) < 1e-12
         # and it is not simply max over the target net
         assert abs(got - 0.9 * float(target.forward(nx).max())) > 1e-6
@@ -241,13 +240,13 @@ class TestTrainStep:
         raw = [make_transition(rng) for _ in range(4)]
         # Rewards taken from the same batched forward pass train_step uses,
         # so the TD error is bitwise zero.
-        q = online.forward_batch(np.stack([encode_state(t.state) for t in raw]))
+        q, _ = online.forward_batch(np.stack([encode_state(t.state) for t in raw]))
         batch = [
             Transition(t.state, t.action, float(q[i, int(t.action)]), t.next_state, t.done)
             for i, t in enumerate(raw)
         ]
         before = {k: online.params[k].copy() for k in PARAM_KEYS}
-        loss = train_step(online, target, Adam(online), Batch.of(batch), 0.0, 0.01)
+        loss = train_step(online, target, Adam(online), batch_of(batch), 0.0, 0.01)
         assert loss == 0.0
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(online.params[k], before[k])
@@ -257,13 +256,13 @@ class TestTrainStep:
         online = DuelingNet.initialize(4, (5, 4))
         target = DuelingNet.initialize(5, (5, 4))
         batch = [make_transition(rng, done=rng.random() < 0.5) for _ in range(6)]
-        y = td_targets(Batch.of(batch), online, target, 0.9)
+        y = td_targets(batch_of(batch), online, target, 0.9)
         diffs = [
             float(online.forward(encode_state(t.state))[int(t.action)]) - y[i]
             for i, t in enumerate(batch)
         ]
         want = sum(d * d for d in diffs) / len(batch)
-        loss = train_step(online, target, Adam(online), Batch.of(batch), 0.9, 0.01)
+        loss = train_step(online, target, Adam(online), batch_of(batch), 0.9, 0.01)
         assert abs(loss - want) < 1e-12
 
     def test_step_reduces_loss_on_repeated_batch(self):
@@ -271,7 +270,7 @@ class TestTrainStep:
         online = DuelingNet.initialize(6, (8, 6))
         target = online.clone()
         adam = Adam(online)
-        batch = Batch.of([make_transition(rng, done=True) for _ in range(8)])
+        batch = batch_of([make_transition(rng, done=True) for _ in range(8)])
         first = train_step(online, target, adam, batch, 0.9, 0.01)
         for _ in range(60):
             last = train_step(online, target, adam, batch, 0.9, 0.01)

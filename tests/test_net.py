@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import gradient_of, value_and_advantage
 from qnav.net import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -23,6 +24,11 @@ from qnav.net import (
     parameter_count,
     save_checkpoint,
 )
+
+
+def flat_of(grads):
+    """Per-parameter gradients laid out like net.flat: concatenated in PARAM_KEYS order."""
+    return np.concatenate([grads[k] for k in PARAM_KEYS], axis=None)
 
 
 def enumerate_params(net):
@@ -124,8 +130,7 @@ class TestFlatParameters:
 
     def test_adam_step_keeps_views(self):
         net = DuelingNet.initialize(3, (4, 3))
-        grads = {k: np.ones_like(net.params[k]) for k in PARAM_KEYS}
-        Adam(net).step(net, grads, lr=0.01)
+        Adam(net).step(net, np.ones_like(net.flat), lr=0.01)
         assert_params_are_views(net)
 
 
@@ -133,7 +138,7 @@ class TestForward:
     def test_dueling_identity(self):
         net = DuelingNet.initialize(0)
         x = np.linspace(-1, 1, 7)
-        v, a = net.value_and_advantage(x)
+        v, a = value_and_advantage(net, x)
         q = net.forward(x)
         np.testing.assert_allclose(q, v + a - a.mean(), rtol=0, atol=1e-12)
 
@@ -141,7 +146,7 @@ class TestForward:
         net = DuelingNet.initialize(2, (6, 5))
         rng = np.random.default_rng(0)
         xs = rng.uniform(-1, 1, size=(9, 7))
-        batch = net.forward_batch(xs)
+        batch, _ = net.forward_batch(xs)
         for i, x in enumerate(xs):
             np.testing.assert_allclose(batch[i], net.forward(x), atol=1e-12)
 
@@ -201,7 +206,7 @@ class TestBackward:
             net.params["b2"][0] = rng.normal() * 0.5
             x = rng.uniform(-1, 1, 7)
             dq = rng.normal(size=5)
-            got = net.backward(x, dq)
+            got = gradient_of(net, x, dq)
             want = hand_gradients_unit_net(net, x, dq)
             for k in PARAM_KEYS:
                 np.testing.assert_allclose(
@@ -213,7 +218,7 @@ class TestBackward:
         net = DuelingNet.initialize(5, (4, 3))
         x = rng.uniform(-1, 1, 7)
         dq = rng.normal(size=5)
-        analytic = net.backward(x, dq)
+        analytic = gradient_of(net, x, dq)
         h = 1e-5
         for k in PARAM_KEYS:
             flat = net.params[k].ravel()
@@ -232,23 +237,40 @@ class TestBackward:
         rng = np.random.default_rng(1)
         xs = rng.uniform(-1, 1, size=(4, 7))
         dqs = rng.normal(size=(4, 5))
-        batched = net.backward_batch(xs, dqs)
-        for k in PARAM_KEYS:
-            summed = sum(net.backward(xs[i], dqs[i])[k] for i in range(4))
-            np.testing.assert_allclose(batched[k], summed, atol=1e-12)
+        batched = net.backward_batch(dqs, net.forward_batch(xs)[1])
+        assert batched.shape == net.flat.shape
+        summed = sum(flat_of(gradient_of(net, xs[i], dqs[i])) for i in range(4))
+        np.testing.assert_allclose(batched, summed, atol=1e-12)
 
-
-    def test_cached_forward_gives_the_same_gradients(self):
-        net = DuelingNet.initialize(4, (6, 5))
-        rng = np.random.default_rng(2)
-        xs = rng.uniform(0, 1, size=(8, 7))
-        dqs = rng.normal(size=(8, 5))
-        q, cache = net.forward_batch_cached(xs)
-        np.testing.assert_array_equal(q, net.forward_batch(xs))
-        recomputed = net.backward_batch(xs, dqs)
-        reused = net.backward_batch(xs, dqs, cache)
-        for k in PARAM_KEYS:
-            np.testing.assert_array_equal(reused[k], recomputed[k], err_msg=k)
+    @pytest.mark.parametrize("widths", [(1, 1), (5, 4), (48, 40)])
+    @pytest.mark.parametrize("batch", [1, 6, 64])
+    def test_flat_gradient_is_the_per_key_blocks_concatenated(self, widths, batch):
+        # Reference: each block as its own array, from the same expressions,
+        # then concatenated in PARAM_KEYS order. Writing the blocks straight
+        # into the flat buffer must give the same bits.
+        rng = np.random.default_rng(batch)
+        net = DuelingNet.initialize(batch, widths)
+        q, cache = net.forward_batch(rng.uniform(0, 1, size=(batch, 7)))
+        dq = rng.normal(size=q.shape)
+        p = net.params
+        dvalue = dq.sum(axis=1)
+        dadv = dq - dq.sum(axis=1, keepdims=True) / 5
+        dz2 = (dvalue[:, None] * p["wv"][None, :] + dadv @ p["wa"]) * (cache.z2 > 0.0)
+        dz1 = (dz2 @ p["w2"]) * (cache.z1 > 0.0)
+        want = {
+            "w1": dz1.T @ cache.x,
+            "b1": dz1.sum(axis=0),
+            "w2": dz2.T @ cache.h1,
+            "b2": dz2.sum(axis=0),
+            "wv": cache.h2.T @ dvalue,
+            "bv": np.array([dvalue.sum()]),
+            "wa": dadv.T @ cache.h2,
+            "ba": dadv.sum(axis=0),
+        }
+        got = net.backward_batch(dq, cache)
+        assert got.dtype == np.float64 and got.shape == net.flat.shape
+        assert not np.shares_memory(got, net.flat)
+        np.testing.assert_array_equal(got, flat_of(want))
 
 
 class TestAdam:
@@ -264,7 +286,7 @@ class TestAdam:
         for t in range(1, 6):
             grads = {k: rng.normal(size=net.params[k].shape) for k in PARAM_KEYS}
             lr = 0.01 / t
-            opt.step(net, grads, lr)
+            opt.step(net, flat_of(grads), lr)
             for k in PARAM_KEYS:
                 m[k] = 0.9 * m[k] + (1.0 - 0.9) * grads[k]
                 v[k] = 0.999 * v[k] + (1.0 - 0.999) * grads[k] * grads[k]
@@ -281,7 +303,7 @@ class TestAdam:
         g = 0.2
         grads = {k: np.zeros_like(net.params[k]) for k in PARAM_KEYS}
         grads["bv"][0] = g
-        Adam(net).step(net, grads, lr=0.01)
+        Adam(net).step(net, flat_of(grads), lr=0.01)
         delta = float(net.params["bv"][0]) - theta0
         expected = -0.01 * g / (abs(g) + 1e-8)
         assert abs(delta - expected) < 1e-15
@@ -294,8 +316,8 @@ class TestAdam:
         grads = {k: np.zeros_like(net.params[k]) for k in PARAM_KEYS}
         grads["b2"][0] = g
         opt = Adam(net)
-        opt.step(net, grads, lr=0.01)
-        opt.step(net, grads, lr=0.01)
+        opt.step(net, flat_of(grads), lr=0.01)
+        opt.step(net, flat_of(grads), lr=0.01)
         expected = theta0 - 2 * 0.01 * g / (abs(g) + 1e-8)
         assert abs(float(net.params["b2"][0]) - expected) < 1e-12
 
@@ -303,7 +325,7 @@ class TestAdam:
         net = DuelingNet.initialize(4, (3, 3))
         before = {k: net.params[k].copy() for k in PARAM_KEYS}
         grads = {k: np.zeros_like(net.params[k]) for k in PARAM_KEYS}
-        Adam(net).step(net, grads, lr=0.01)
+        Adam(net).step(net, flat_of(grads), lr=0.01)
         for k in PARAM_KEYS:
             np.testing.assert_array_equal(net.params[k], before[k])
 
@@ -318,8 +340,8 @@ class TestAdam:
         for t in range(1, 7101):
             grads = {k: (rng.normal(size=net.params[k].shape) if t <= 5 else np.zeros(net.params[k].shape))
                      for k in PARAM_KEYS}
-            opt.step(net, grads, lr=0.01)
-            g = np.concatenate([grads[k] for k in PARAM_KEYS], axis=None)
+            g = flat_of(grads)
+            opt.step(net, g, lr=0.01)
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g * g
             flat -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
@@ -328,13 +350,10 @@ class TestAdam:
         np.testing.assert_array_equal(net.flat, flat)
 
     def test_per_call_learning_rate(self):
-        make_grads = lambda net: {
-            k: np.ones_like(net.params[k]) for k in PARAM_KEYS
-        }
         a = DuelingNet.initialize(0, (2, 2))
         b = DuelingNet.initialize(0, (2, 2))
-        Adam(a).step(a, make_grads(a), lr=0.01)
-        Adam(b).step(b, make_grads(b), lr=0.005)
+        Adam(a).step(a, np.ones_like(a.flat), lr=0.01)
+        Adam(b).step(b, np.ones_like(b.flat), lr=0.005)
         da = a.params["w1"] - DuelingNet.initialize(0, (2, 2)).params["w1"]
         db = b.params["w1"] - DuelingNet.initialize(0, (2, 2)).params["w1"]
         np.testing.assert_allclose(da, 2 * db, rtol=1e-9)
@@ -395,6 +414,16 @@ class TestCheckpoint:
         del blob["params"]["wv"]
         with pytest.raises(CheckpointError):
             load_checkpoint(json.dumps(blob).encode())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_params(self, value):
+        # json reads NaN and Infinity; a net holding one would make every Q-value non-finite.
+        blob = json.loads(save_checkpoint(DuelingNet.initialize(0), seed=0, episodes=0))
+        blob["params"]["ba"][0] = value
+        text = json.dumps(blob)
+        assert ("NaN" if math.isnan(value) else "Infinity") in text
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(text.encode())
 
     def test_format_tag_value(self):
         blob = json.loads(save_checkpoint(DuelingNet.initialize(0), seed=0, episodes=0))

@@ -8,13 +8,19 @@ with --trace 0 for BENCHMARK.json's run_seconds. Pair k runs seed
 SEEDS[k % 3] on both sides, and the side that runs first alternates. The
 summary holds, per end-to-end metric named in BENCHMARK.json, each side's
 median and quartiles (inclusive method), the number of pairs the change won,
-the ratio of the medians, and two verdicts:
+the ratio of the medians, and three verdicts:
 
 - worse_beyond_bound: the change's median is worse than the parent's by more
   than the metric's bound, as a fraction of the parent's median.
 - gain_shown: the change was better in at least 9 of every 10 pairs, and its
   median is better than the parent's by more than the parent's quartile
   spread (q3 - q1).
+- unresolved: the parent's quartile spread exceeds the metric's bound times
+  the parent's median, and not every change run beats every parent run. The
+  runs then spread too widely to tell the two sides apart.
+
+failed_share holds, per side, the share of operations that failed: the sum
+of failed over the sum of attempted, over all that side's runs.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         parent = [p["parent"]["metrics"][name]["value"] for p in both]
         change = [p["change"]["metrics"][name]["value"] for p in both]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
         (q1, parent_median, q3), change_median = quartiles(parent), statistics.median(change)
         gain = change_median - parent_median if higher else parent_median - change_median
         summary[name] = {
@@ -104,8 +111,15 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_over_parent_median": round(change_median / parent_median, 4),
             "worse_beyond_bound": -gain > metric["bound"] * abs(parent_median),
             "gain_shown": 10 * wins >= 9 * len(both) and gain > q3 - q1,
+            "unresolved": q3 - q1 > metric["bound"] * abs(parent_median) and not beats_all,
         }
     return summary
+
+
+def failed_share(pairs: list[dict], side: str) -> float:
+    """Failed operations over attempted ones, summed over the side's runs."""
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": parent_commit,
         "change": change,
         "all_checks_passed": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+        "failed_share": {s: failed_share(pairs, s) for s in ("parent", "change")},
         "summary": summarise(pairs, bench["end_to_end"]),
         "pairs": pairs,
     }
@@ -159,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, s in doc["summary"].items():
         print(f"{name}: parent {s['parent']['median']} change {s['change']['median']} "
               f"(x{s['change_over_parent_median']}, change better in {s['change_better_pairs']}/{len(pairs)}; "
-              f"worse beyond bound: {s['worse_beyond_bound']}, gain shown: {s['gain_shown']})")
+              f"worse beyond bound: {s['worse_beyond_bound']}, gain shown: {s['gain_shown']}, "
+              f"unresolved: {s['unresolved']})")
+    print(f"failed share: parent {doc['failed_share']['parent']:.4f} change {doc['failed_share']['change']:.4f}")
     print(f"wrote {out}")
     return 0 if doc["all_checks_passed"] else 1
 
