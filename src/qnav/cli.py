@@ -378,15 +378,19 @@ def cmd_train(args) -> int:
             cfg=env_cfg, question_id=record.id, usage_log=usage,
         )
 
+    stepped = False
+
     def snapshot(stats: dqn.EpisodeStats, net) -> None:
+        # A net no episode has stepped is the untrained one: nothing to checkpoint.
+        nonlocal stepped
+        stepped = stepped or stats.steps > 0
         n = stats.episode + 1
-        if n % CHECKPOINT_EVERY == 0:
+        if stepped and n % CHECKPOINT_EVERY == 0:
             payload = save_checkpoint(net, seed=seed, episodes=n)
             _write(out / f"checkpoint_ep{n:05d}.json", payload)
 
     net, stats = dqn.run_training(env_factory, trainer_cfg, on_episode=snapshot)
 
-    stepped = any(s.steps for s in stats)
     if stepped:
         _write(out / "checkpoint_final.json", save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes))
     _write(out / "reward_curve.tsv", dqn.stats_table(stats))

@@ -1,7 +1,9 @@
 """LLM and reward-model access: one wire backend, deterministic scripted twins.
 
 The wire backend speaks the OpenAI-compatible chat-completions protocol and
-sends each prompt as a single user message (no system message). Scripted
+sends each prompt as a single user message (no system message). It and the
+wire PRM client reach their endpoints through WireEndpoint, the one HTTP
+transport and retry path: each builds a payload and parses the reply. Scripted
 backends answer from ordered match rules and make the whole pipeline runnable
 offline, byte-for-byte reproducibly; they report zero latency on purpose so
 offline artifacts do not embed timing noise.
@@ -14,7 +16,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence
 
 import requests
 from requests.adapters import HTTPAdapter
@@ -23,8 +25,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 1.0
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
-
-T = TypeVar("T")
 
 
 class GatewayError(Exception):
@@ -88,30 +88,6 @@ class ChatBackend(Protocol):
     def complete(self, request: ChatRequest) -> ChatExchange: ...
 
 
-def call_with_retries(
-    fn: Callable[[], T],
-    max_attempts: int,
-    backoff_base: float,
-    sleep: Callable[[float], None] = time.sleep,
-) -> tuple[T, int]:
-    """Run fn, retrying transient failures with exponential backoff.
-
-    Returns fn's value and the number of calls made.
-    """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be positive")
-    last: GatewayTransientError | None = None
-    for attempt in range(1, max_attempts + 1):
-        try:
-            return fn(), attempt
-        except GatewayTransientError as exc:
-            last = exc
-            if attempt < max_attempts:
-                log.warning("transient gateway failure (attempt %d/%d): %s", attempt, max_attempts, exc)
-                sleep(backoff_base * (2 ** (attempt - 1)))
-    raise GatewayRetryError(f"gave up after {max_attempts} attempts") from last
-
-
 def pooled_session(size: int) -> requests.Session:
     """A requests.Session keeping up to size connections per host.
 
@@ -123,38 +99,6 @@ def pooled_session(size: int) -> requests.Session:
     session.mount("http://", adapter)
     session.mount("https://", adapter)
     return session
-
-
-def _post_json(
-    session: requests.Session, cfg: EndpointConfig, path: str, payload: dict
-) -> tuple[object, float]:
-    """POST payload to cfg.base_url + path: (decoded JSON body, seconds spent in the POST).
-
-    Sends a bearer header when the variable named by cfg.api_key_env is set.
-    Connection trouble, timeouts, 429 and 5xx raise GatewayTransientError,
-    401/403 GatewayAuthError, any other non-200 status or a body that is not
-    JSON GatewayProtocolError.
-    """
-    headers = {"Content-Type": "application/json"}
-    key = os.environ.get(cfg.api_key_env)
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
-    started = time.monotonic()
-    try:
-        resp = session.post(cfg.base_url.rstrip("/") + path, json=payload, headers=headers, timeout=cfg.timeout_s)
-    except (requests.Timeout, requests.ConnectionError) as exc:
-        raise GatewayTransientError(f"request failed: {exc}") from exc
-    latency = time.monotonic() - started
-    if resp.status_code in (401, 403):
-        raise GatewayAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-    if resp.status_code == 429 or resp.status_code >= 500:
-        raise GatewayTransientError(f"HTTP {resp.status_code}")
-    if resp.status_code != 200:
-        raise GatewayProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-    try:
-        return resp.json(), latency
-    except ValueError as exc:
-        raise GatewayProtocolError(f"response body is not JSON: {exc}") from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -194,31 +138,86 @@ class WireConfig(EndpointConfig):
             raise ValueError("max_in_flight must be at least 1")
 
 
+class WireEndpoint:
+    """One HTTP endpoint: the only transport and retry path of the wire clients."""
+
+    def __init__(self, cfg: EndpointConfig, session: requests.Session,
+                 sleep: Callable[[float], None] = time.sleep):
+        self.cfg = cfg
+        self.session = session
+        self._sleep = sleep
+
+    def post(self, path: str, payload: dict) -> tuple[object, float, int]:
+        """POST payload to cfg.base_url + path: (decoded JSON body, seconds in the last POST, POSTs made).
+
+        Sends a bearer header when the variable named by cfg.api_key_env is
+        set. Connection trouble, timeouts, 429 and 5xx are retried, sleeping
+        backoff_base_s * 2^(n - 1) after the n-th POST; after max_attempts
+        POSTs GatewayRetryError chains the last. 401/403 raise
+        GatewayAuthError, other statuses and non-JSON bodies
+        GatewayProtocolError, neither retried.
+        """
+        cfg = self.cfg
+        url = cfg.base_url.rstrip("/") + path
+        headers = {"Content-Type": "application/json"}
+        key = os.environ.get(cfg.api_key_env)
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
+        last: GatewayTransientError | None = None
+        for attempt in range(1, cfg.max_attempts + 1):
+            if last is not None:
+                log.warning("transient gateway failure (attempt %d/%d): %s", attempt - 1, cfg.max_attempts, last)
+                self._sleep(cfg.backoff_base_s * 2 ** (attempt - 2))
+            started = time.monotonic()
+            try:
+                resp = self.session.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                last = GatewayTransientError(f"request failed: {exc}")
+                last.__cause__ = exc
+                continue
+            latency = time.monotonic() - started
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last = GatewayTransientError(f"HTTP {resp.status_code}")
+                continue
+            if resp.status_code in (401, 403):
+                raise GatewayAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
+            if resp.status_code != 200:
+                raise GatewayProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            try:
+                return resp.json(), latency, attempt
+            except ValueError as exc:
+                raise GatewayProtocolError(f"response body is not JSON: {exc}") from exc
+        raise GatewayRetryError(f"gave up after {cfg.max_attempts} attempts") from last
+
+
+def _reply_number(value: object, kind: type[int] | type[float]) -> int | float:
+    """A number from a reply body as kind; a boolean, a string or a fractional count is malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return kind(value)
+
+
 class OpenAIChatBackend:
-    """Chat-completions client with retry, backoff, and an in-flight cap."""
+    """Chat-completions client with an in-flight cap over a WireEndpoint."""
 
     def __init__(self, cfg: WireConfig, session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):
-        self.cfg = cfg
         self.max_in_flight = cfg.max_in_flight
-        self._session = pooled_session(cfg.max_in_flight) if session is None else session
-        self._sleep = sleep
+        self._model = cfg.model
+        self._endpoint = WireEndpoint(cfg, pooled_session(cfg.max_in_flight) if session is None else session, sleep)
         self._slots = threading.BoundedSemaphore(cfg.max_in_flight)
 
     def complete(self, request: ChatRequest) -> ChatExchange:
         payload = {
-            "model": self.cfg.model,
+            "model": self._model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        with self._slots:
-            (doc, latency), attempts = call_with_retries(
-                lambda: _post_json(self._session, self.cfg, "/chat/completions", payload),
-                self.cfg.max_attempts,
-                self.cfg.backoff_base_s,
-                self._sleep,
-            )
+        with self._slots:  # held through retries and their backoff
+            doc, latency, attempts = self._endpoint.post("/chat/completions", payload)
         try:
             text = doc["choices"][0]["message"]["content"]
             if not isinstance(text, str):
@@ -227,8 +226,8 @@ class OpenAIChatBackend:
             if not isinstance(usage_doc, dict):
                 raise TypeError("usage is not an object")
             usage = Usage(
-                input_tokens=int(usage_doc.get("prompt_tokens", 0)),
-                output_tokens=int(usage_doc.get("completion_tokens", 0)),
+                input_tokens=_reply_number(usage_doc.get("prompt_tokens", 0), int),
+                output_tokens=_reply_number(usage_doc.get("completion_tokens", 0), int),
             )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GatewayProtocolError(f"malformed completion payload: {exc}") from exc
@@ -246,8 +245,7 @@ class ScriptedRule:
     once exhausted). fail_times makes the rule raise GatewayTransientError
     that many times before it answers. Nothing retries a scripted backend in
     a CLI run: each injected failure aborts its eval or train episode with an
-    EpisodeFailure, or leaves a mined question undetermined. Only code that
-    wraps complete() in call_with_retries sees a retry.
+    EpisodeFailure, or leaves a mined question undetermined.
     """
 
     contains: str
@@ -339,24 +337,19 @@ PrmWireConfig = EndpointConfig
 
 
 class WirePrm:
-    """PRM client; session's connection pool should fit the score calls made at once."""
+    """PRM client over a WireEndpoint; session's connection pool should fit the score calls made at once.
+
+    It takes no slot: its calls are bounded by the episodes or trials in flight.
+    """
 
     def __init__(self, cfg: PrmWireConfig, session: requests.Session,
                  sleep: Callable[[float], None] = time.sleep):
-        self.cfg = cfg
-        self._session = session
-        self._sleep = sleep
+        self._endpoint = WireEndpoint(cfg, session, sleep)
 
     def score(self, problem: str, reasoning: str) -> float:
-        payload = {"problem": problem, "reasoning": reasoning}
-        (doc, _latency), _attempts = call_with_retries(
-            lambda: _post_json(self._session, self.cfg, "/score", payload),
-            self.cfg.max_attempts,
-            self.cfg.backoff_base_s,
-            self._sleep,
-        )
+        doc, _latency, _attempts = self._endpoint.post("/score", {"problem": problem, "reasoning": reasoning})
         try:
-            return float(doc["score"])
+            return _reply_number(doc["score"], float)
         except (ValueError, KeyError, TypeError) as exc:
             raise GatewayProtocolError(f"malformed score payload: {exc}") from exc
 

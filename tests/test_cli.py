@@ -238,8 +238,8 @@ class TestConfigHandling:
             in_flight=1,
         )
         assert isinstance(prm, gateway.WirePrm)
-        assert prm.cfg.max_attempts == 5
-        assert prm.cfg.backoff_base_s == 0.01
+        assert prm._endpoint.cfg.max_attempts == 5
+        assert prm._endpoint.cfg.backoff_base_s == 0.01
 
     @pytest.mark.parametrize("build, section", [
         (cli.build_chat_backend, {"backend": "openai", "base_url": "http://localhost:9", "model": "m"}),
@@ -533,14 +533,19 @@ class TestNothingDone:
         return code, out
 
     def test_train_with_no_env_step_writes_no_final_checkpoint(self, tmp_path, capsys):
-        code, out = self.run(tmp_path, ["train", "--episodes", "5"], [numeric_question("q", "9")])
-        assert code == cli.EXIT_GATEWAY
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gateway error: no episode of 5 took a step")
-        assert not (out / "checkpoint_final.json").exists()
-        assert len((out / "reward_curve.tsv").read_text().splitlines()) == 1 + 5
-        assert json.loads((out / "usage.json").read_text())["calls"] == 0
-        assert (out / "resolved_config.json").exists()
+        # 500 episodes passes an epoch checkpoint, which holds no untrained net either.
+        for episodes in (5, 500):
+            root = tmp_path / str(episodes)
+            root.mkdir()
+            code, out = self.run(root, ["train", "--episodes", str(episodes)], [numeric_question("q", "9")])
+            assert code == cli.EXIT_GATEWAY
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"gateway error: no episode of {episodes} took a step")
+            assert not (out / "checkpoint_final.json").exists()
+            assert not list(out.glob("checkpoint_ep*.json"))
+            assert len((out / "reward_curve.tsv").read_text().splitlines()) == 1 + episodes
+            assert json.loads((out / "usage.json").read_text())["calls"] == 0
+            assert (out / "resolved_config.json").exists()
 
     def test_eval_with_every_trial_failed(self, tmp_path, capsys):
         code, out = self.run(tmp_path, ["eval", "--policy", "fixed-sequence", "--trials", "2"],
@@ -636,7 +641,7 @@ class TestTrain:
             cli.main(["train", "--config", cfg, "--hard-set", data, "--out-dir", str(tmp_path / "o")])
         (env,) = envs
         assert env.max_in_flight == 16
-        adapter = env.prm._session.get_adapter("http://localhost:9/score")
+        adapter = env.prm._endpoint.session.get_adapter("http://localhost:9/score")
         assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 16
 
     def test_resolved_config_reproduces_the_run(self, tmp_path):
@@ -811,7 +816,7 @@ class TestEval:
             cli.main(["eval", "--config", cfg, "--dataset", data, "--policy", "fixed-sequence",
                       "--out-dir", str(tmp_path / "o")])
         (prm,) = prms
-        adapter = prm._session.get_adapter("http://localhost:9/score")
+        adapter = prm._endpoint.session.get_adapter("http://localhost:9/score")
         assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 34
 
 

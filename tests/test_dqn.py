@@ -32,7 +32,7 @@ from qnav.dqn import (
     td_targets,
     train_step,
 )
-from qnav.env import ReasoningEpisode
+from qnav.env import ReasoningEpisode, episodes_in_flight
 from qnav.gateway import (
     ChatRequest,
     OpenAIChatBackend,
@@ -529,6 +529,11 @@ class ScriptedSession:
                 self.active -= 1
 
 
+def in_flight_at_cap(cap):
+    """K, the episodes train keeps in flight over a chat backend capped at cap calls."""
+    return episodes_in_flight(PooledScriptedChat((), max_in_flight=cap))
+
+
 class TestEpisodesInFlight:
     """K = env.max_in_flight > 1: one learner fed by K episodes at once."""
 
@@ -675,10 +680,12 @@ class TestEpisodesInFlight:
         assert not train_workers()
 
     @pytest.mark.parametrize("in_flight, steps, checkpoint_digest, table_digest", [
-        (4, 1052, "f0d0b0bd7a82c7fd35f14837d3219694fd0bef564ae641bb033f7e44e9a375f8",
+        (in_flight_at_cap(2), 1052, "f0d0b0bd7a82c7fd35f14837d3219694fd0bef564ae641bb033f7e44e9a375f8",
          "d7836a6880f3a2716bccfaafa13ba1601c251402862e8a6b65b4f7f16f369d54"),
-        (7, 1099, "6f915e48a1539ee967bb7a7aff33118d0e2ad50ddfda915f14dc2088c1949232",
+        (in_flight_at_cap(3), 1099, "6f915e48a1539ee967bb7a7aff33118d0e2ad50ddfda915f14dc2088c1949232",
          "e7b0cd94207137dddb20847fd24c4e0d2f742d8be259029ad1711e167b5dd595"),
+        (in_flight_at_cap(4), 1089, "3c306fdd4e4896b5de5fa36d90543e26f7846292207d898be81c998f0dcde071",
+         "c098e4710e90811a06766c80c4b9f688dc797f95069a6d9d7012e5609302a3f1"),
     ])
     def test_seed_zero_run_in_flight_is_pinned(self, in_flight, steps, checkpoint_digest, table_digest):
         # Digests recorded like test_seed_zero_run_is_pinned's. They pin the
@@ -700,19 +707,27 @@ class TestEpisodesInFlight:
         return mdp, *run_training(lambda rng: InFlight(mdp, rng), cfg)
 
     def synthetic_ratio(self, in_flight, seed):
-        """greedy/oracle return after training on the synthetic MDP with in_flight episodes at once."""
-        cfg = TrainerConfig(seed=seed)
+        """greedy/oracle return after 1000 episodes on the synthetic MDP with in_flight episodes at once.
+
+        A third of the default 3000 episodes, under the same bound.
+        """
+        cfg = TrainerConfig(seed=seed, episodes=1000)
         mdp, net, _ = self.synthetic_run(in_flight, cfg)
         return greedy_return(mdp, net, cfg.gamma) / optimal_return(mdp, cfg.gamma).value
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_synthetic_convergence_at_four_in_flight(self, seed):
-        assert self.synthetic_ratio(4, seed) >= 0.95
+        assert self.synthetic_ratio(in_flight_at_cap(2), seed) >= 0.95
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_synthetic_convergence_at_seven_in_flight(self, seed):
         # Actions come from a net up to 6 updates old.
-        assert self.synthetic_ratio(7, seed) >= 0.95
+        assert self.synthetic_ratio(in_flight_at_cap(3), seed) >= 0.95
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synthetic_convergence_at_ten_in_flight(self, seed):
+        # The default chat cap of 4: actions come from a net up to 9 updates old.
+        assert self.synthetic_ratio(in_flight_at_cap(4), seed) >= 0.95
 
 
 class TestStatsTable:

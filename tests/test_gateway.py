@@ -1,4 +1,4 @@
-"""Gateway tests: scripted backends, retry policy, and wire clients.
+"""Gateway tests: scripted backends, and wire clients with their retry policy.
 
 Wire clients are exercised against a fake requests session; no sockets.
 """
@@ -24,7 +24,6 @@ from qnav.gateway import (
     UsageLog,
     WireConfig,
     WirePrm,
-    call_with_retries,
     score_process,
 )
 
@@ -117,53 +116,6 @@ class TestScriptedBackend:
         assert backend.complete(ChatRequest("x")).text == "done"
 
 
-class TestCallWithRetries:
-    def test_succeeds_after_transient_failures(self):
-        attempts = {"n": 0}
-        delays = []
-
-        def fn():
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                raise GatewayTransientError("boom")
-            return "ok"
-
-        value, n = call_with_retries(fn, max_attempts=3, backoff_base=0.5, sleep=delays.append)
-        assert (value, n) == ("ok", 3)
-        assert delays == [0.5, 1.0]  # exponential backoff
-
-    def test_budget_exhausted_raises_retry_error(self):
-        def fn():
-            raise GatewayTransientError("always down")
-
-        with pytest.raises(GatewayRetryError) as err:
-            call_with_retries(fn, max_attempts=3, backoff_base=0.01, sleep=lambda _: None)
-        assert isinstance(err.value.__cause__, GatewayTransientError)
-
-    def test_non_transient_errors_pass_through(self):
-        def fn():
-            raise GatewayAuthError("bad key")
-
-        with pytest.raises(GatewayAuthError):
-            call_with_retries(fn, max_attempts=5, backoff_base=0.01, sleep=lambda _: None)
-
-    def test_single_attempt_success_reports_one(self):
-        backend = ScriptedChatBackend([ScriptedRule("", "ok")])
-        ex, n = call_with_retries(
-            lambda: backend.complete(ChatRequest("p")), 3, 0.5, sleep=lambda _: None
-        )
-        assert ex.text == "ok"
-        assert n == 1
-
-    def test_recovers_from_flaky_rule(self):
-        backend = ScriptedChatBackend([ScriptedRule("x", "recovered", fail_times=2)])
-        ex, n = call_with_retries(
-            lambda: backend.complete(ChatRequest("x")), 3, 0.5, sleep=lambda _: None
-        )
-        assert ex.text == "recovered"
-        assert n == 3
-
-
 class WireTransportCases:
     """Transport behaviour both wire clients share; a subclass supplies the client.
 
@@ -194,11 +146,21 @@ class WireTransportCases:
         assert self.call(client) == 0.25
         assert len(session.calls) == 2
 
+    def test_succeeds_after_transient_failures(self):
+        delays = []
+        client, session = self.make([FakeResponse(503), requests.ConnectionError("reset"), self.ok(0.5)],
+                                    sleep=delays.append)
+        assert self.call(client) == 0.5
+        assert len(session.calls) == 3
+        assert delays == [0.5, 1.0]  # backoff_base_s, then twice that
+
     def test_server_errors_exhaust_budget(self):
         client, session = self.make([FakeResponse(500)] * 3)
-        with pytest.raises(GatewayRetryError):
+        with pytest.raises(GatewayRetryError) as err:
             self.call(client)
         assert len(session.calls) == 3
+        assert isinstance(err.value.__cause__, GatewayTransientError)
+        assert str(err.value.__cause__) == "HTTP 500"
 
     def test_backoff_doubles_per_retry(self):
         delays = []
@@ -212,9 +174,10 @@ class WireTransportCases:
         assert self.call(client) == 0.75
 
     def test_unexpected_status_is_protocol_error(self):
-        client, _ = self.make([FakeResponse(418, text="teapot")])
+        client, session = self.make([FakeResponse(418, text="teapot")])
         with pytest.raises(GatewayProtocolError):
             self.call(client)
+        assert len(session.calls) == 1
 
     def test_non_json_body_is_protocol_error(self):
         client, session = self.make([FakeResponse(200, None, text="<html>")])
@@ -242,7 +205,7 @@ class TestOpenAIChatBackend(WireTransportCases):
     @pytest.mark.parametrize("url", ["http://unit.test/v1", "https://unit.test/v1"])
     def test_own_session_pools_a_connection_per_slot(self, url):
         backend = OpenAIChatBackend(WireConfig(base_url=url, model="m", max_in_flight=12))
-        adapter = backend._session.get_adapter(url)
+        adapter = backend._endpoint.session.get_adapter(url)
         assert adapter.poolmanager.connection_pool_kw["maxsize"] == 12
 
     def test_callers_session_is_left_as_given(self):
@@ -279,7 +242,10 @@ class TestOpenAIChatBackend(WireTransportCases):
         {"prompt_tokens": "x"},
         ["a"],
         {"completion_tokens": [5]},
-    ], ids=["non-numeric", "list", "list-count"])
+        {"prompt_tokens": "12"},
+        {"completion_tokens": True},
+        {"prompt_tokens": 2.5},
+    ], ids=["non-numeric", "list", "list-count", "numeric-string", "boolean", "fraction"])
     def test_malformed_usage_block_is_protocol_error(self, usage):
         payload = {"choices": [{"message": {"content": "x"}}], "usage": usage}
         backend, _ = self.make([FakeResponse(200, payload)])
@@ -367,6 +333,19 @@ class TestPrm:
         prm = WirePrm(cfg, session=session, sleep=lambda _: None)
         with pytest.raises(GatewayProtocolError):
             prm.score("p", "r")
+
+    @pytest.mark.parametrize("score", [True, "0.5", None, [0.5]], ids=["boolean", "string", "null", "list"])
+    def test_wire_prm_score_must_be_a_number(self, score):
+        session = FakeSession([FakeResponse(200, {"score": score})])
+        prm = WirePrm(PrmWireConfig(base_url="http://unit.test"), session=session, sleep=lambda _: None)
+        with pytest.raises(GatewayProtocolError):
+            prm.score("p", "r")
+
+    @pytest.mark.parametrize("score", [1, 0.25])
+    def test_wire_prm_takes_integer_and_float_scores(self, score):
+        session = FakeSession([FakeResponse(200, {"score": score})])
+        prm = WirePrm(PrmWireConfig(base_url="http://unit.test"), session=session, sleep=lambda _: None)
+        assert prm.score("p", "r") == score
 
 
 class TestUsageLog:

@@ -2,26 +2,39 @@
 than only in a benchmark run.
 
 perfbench's tracer wraps qnav functions and methods by name, its workloads
-import qnav names, and eval_llm drops wall_time_s from each report question
-before fingerprinting it.
+import qnav names and build the wire clients, and eval_llm drops wall_time_s
+from each report question before fingerprinting it.
 """
 
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import standard_rules
 from qnav import evalkit
-from qnav.gateway import ScriptedChatBackend, ScriptedPrm
+from qnav.gateway import (
+    ChatRequest,
+    OpenAIChatBackend,
+    PrmWireConfig,
+    ScriptedChatBackend,
+    ScriptedPrm,
+    WireConfig,
+    WirePrm,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
-def tracing(monkeypatch):
+def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    importlib.import_module("workloads")  # raises if a qnav name it imports is gone
+    return importlib.import_module("workloads")  # raises if a qnav name it imports is gone
+
+
+@pytest.fixture
+def tracing(workloads):
     return importlib.import_module("tracing")
 
 
@@ -44,3 +57,33 @@ def test_report_questions_carry_wall_time(sample_questions):
     questions = report.to_jsonable()["questions"]
     assert len(questions) == len(sample_questions)
     assert all("wall_time_s" in q for q in questions)
+
+
+class StubSession:
+    """Answers each POST by path as perfbench's stub does: a completion or a score."""
+
+    def __init__(self):
+        self.urls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.urls.append(url)
+        if url.endswith("/chat/completions"):
+            body = {"choices": [{"message": {"content": "The answer is 7."}}],
+                    "usage": {"prompt_tokens": 3, "completion_tokens": 4}}
+        else:
+            body = {"score": 0.75}
+        return SimpleNamespace(status_code=200, json=lambda: body)
+
+
+def test_wire_clients_build_as_the_workloads_do(workloads):
+    # As workloads.Clients builds them: one session given to both, and no cap on the PRM.
+    session = StubSession()
+    chat = OpenAIChatBackend(WireConfig(
+        base_url="http://stub.test/v1", model="stub", backoff_base_s=workloads.BACKOFF_BASE_S, timeout_s=30.0,
+    ), session=session)
+    prm = WirePrm(PrmWireConfig(
+        base_url="http://stub.test", backoff_base_s=workloads.BACKOFF_BASE_S, timeout_s=30.0,
+    ), session=session)
+    assert chat.complete(ChatRequest("What is 3 + 4?")).text == "The answer is 7."
+    assert prm.score("What is 3 + 4?", "Step 1: warm-up") == 0.75
+    assert session.urls == ["http://stub.test/v1/chat/completions", "http://stub.test/score"]
