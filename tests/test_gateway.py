@@ -23,6 +23,7 @@ from qnav.gateway import (
     Usage,
     UsageLog,
     WireConfig,
+    WireEndpoint,
     WirePrm,
     score_process,
 )
@@ -114,6 +115,30 @@ class TestScriptedBackend:
         with pytest.raises(GatewayTransientError):
             backend.complete(ChatRequest("x"))
         assert backend.complete(ChatRequest("x")).text == "done"
+
+
+class TestCallWithRetries:
+    """The retry loop of WireEndpoint.post, driven directly rather than through a client."""
+
+    def make(self, outcomes, max_attempts):
+        session = FakeSession(outcomes)
+        cfg = WireConfig(base_url="http://unit.test", model="m", max_attempts=max_attempts, backoff_base_s=0.01)
+        return WireEndpoint(cfg, session, sleep=lambda _: None), session
+
+    def test_budget_exhausted_raises_retry_error(self):
+        endpoint, session = self.make([requests.ConnectionError("always down")] * 3, max_attempts=3)
+        with pytest.raises(GatewayRetryError) as err:
+            endpoint.post("/x", {})
+        assert len(session.calls) == 3
+        assert isinstance(err.value.__cause__, GatewayTransientError)
+        assert isinstance(err.value.__cause__.__cause__, requests.ConnectionError)
+
+    def test_non_transient_errors_pass_through(self):
+        for status, error in [(401, GatewayAuthError), (403, GatewayAuthError), (418, GatewayProtocolError)]:
+            endpoint, session = self.make([FakeResponse(status, text="no")] * 5, max_attempts=5)
+            with pytest.raises(error):
+                endpoint.post("/x", {})
+            assert len(session.calls) == 1
 
 
 class WireTransportCases:
