@@ -1,13 +1,14 @@
 """Command-line front end: mine-hard, train, eval, synth-train, inspect.
 
-Values resolve as flags over config file over defaults, and every run writes
-the merged result to resolved_config.json in its output directory, so a run
-can be reproduced from that file alone. Exit codes: 0 success, 2 config or
-usage error, 3 data error (datasets, checkpoints, files), 4 gateway error
-or a run in which nothing succeeded, 5 verification failure (synth-train
-below threshold). Every artifact is
-written with core.atomic_write, so a crash leaves the old file or the new
-one, never a truncated one.
+Values resolve as flags over config file over defaults. _resolve reads each
+command's settings and the config sections SECTIONS declares for it, checking
+required inputs and seeds in one place; _record writes those settings and
+sections to resolved_config.json in the output directory, so a run can be
+reproduced from that file alone. Exit codes: 0 success, 2 config or usage
+error, 3 data error (datasets, checkpoints, files), 4 gateway error or a run
+in which nothing succeeded, 5 verification failure (synth-train below
+threshold). Every artifact is written with core.atomic_write, so a crash
+leaves the old file or the new one, never a truncated one.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ SETTINGS = {
     "eval": dict(dataset=str, policy="nav", checkpoint=str, trials=3, seed=0, out_dir=str),
     "synth-train": dict(states=8, sharpness=0.7, mdp_seed=0, threshold=0.95, min_pass=int, seeds="0", out_dir=str),
 }
+
+# Settings a command cannot run without, and settings that seed numpy's generator.
+REQUIRED = ("dataset", "hard_set")
+SEEDS = ("seed", "mdp_seed")
 
 POLICIES = ("nav", "fixed-sequence", "random")
 
@@ -221,7 +226,7 @@ def _settings(args, file_cfg: dict) -> dict:
 
     A null file value counts as unset. A file value is coerced to the
     default's type; a setting declared by its type alone resolves to None
-    when unset.
+    when unset. A negative seed and an unset required input are ConfigErrors.
     """
     settings = {}
     for key, default in SETTINGS[args.command].items():
@@ -234,7 +239,18 @@ def _settings(args, file_cfg: dict) -> dict:
         if value is None and not isinstance(default, type):
             value = default
         settings[key] = value
+    for key in SEEDS:
+        if key in settings:
+            _check_seed(settings[key], key)
+    for key in REQUIRED:
+        if key in settings and settings[key] is None:
+            raise ConfigError(f"{args.command} needs --{key.replace('_', '-')}")
     return settings
+
+
+def _resolve(args, file_cfg: dict) -> tuple[dict, dict]:
+    """(settings, sections): args.command's settings and each config section SECTIONS names, flags applied."""
+    return _settings(args, file_cfg), {name: _section(args, file_cfg, name) for name in SECTIONS[args.command]}
 
 
 def _check_seed(seed: int, key: str) -> int:
@@ -253,6 +269,18 @@ def _write(path: Path, data: str | bytes) -> None:
 
 def _write_json(path: Path, doc: dict) -> None:
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _record(out: Path, command: str, settings: dict, sections: dict, **built) -> None:
+    """Write resolved_config.json: the command, its settings and its sections.
+
+    built maps a section's name to the config dataclass the command built from
+    it, recorded in its place without a seed; other sections are recorded as given.
+    """
+    doc = {"command": command, **settings}
+    for name, section in sections.items():
+        doc[name] = _to_section(built[name], "seed") if name in built else section
+    _write_json(out / "resolved_config.json", doc)
 
 
 def _read_checkpoint(path: str) -> tuple[DuelingNet, dict]:
@@ -300,14 +328,6 @@ def build_prm_backend(cfg: dict, in_flight: int) -> PrmBackend:
     raise ConfigError(f"unknown prm backend {kind!r}")
 
 
-def _env_config(args, file_cfg: dict) -> EnvConfig:
-    return _from_section(EnvConfig, _section(args, file_cfg, "env"), "env")
-
-
-def _trainer_config(args, file_cfg: dict, seed: int) -> dqn.TrainerConfig:
-    return _from_section(dqn.TrainerConfig, _section(args, file_cfg, "trainer"), "trainer", seed=seed)
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -318,17 +338,11 @@ def _nothing_done(what: str, out: Path) -> int:
 
 
 def cmd_mine_hard(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    settings = _settings(args, file_cfg)
-    seed = _check_seed(settings["seed"], "seed")
-    dataset_path = settings["dataset"]
-    if dataset_path is None:
-        raise ConfigError("mine-hard needs --dataset")
-    out = _out_dir(settings, seed)
-    gateway_cfg = _section(args, file_cfg, "gateway")
-    chat = build_chat_backend(gateway_cfg)
+    settings, sections = _resolve(args, _load_config_file(args.config))
+    out = _out_dir(settings, settings["seed"])
+    chat = build_chat_backend(sections["gateway"])
 
-    dataset = evalkit.load_dataset(dataset_path)
+    dataset = evalkit.load_dataset(settings["dataset"])
     usage = UsageLog()
     result = evalkit.mine_hard(dataset, chat, usage_log=usage)
 
@@ -341,7 +355,7 @@ def cmd_mine_hard(args) -> int:
         "undetermined": list(result.undetermined),
         "usage": dataclasses.asdict(usage.totals()),
     })
-    _write_json(out / "resolved_config.json", {"command": args.command, **settings, "gateway": gateway_cfg})
+    _record(out, args.command, settings, sections)
     if result.total and len(result.undetermined) == result.total:
         return _nothing_done(f"all {result.total} questions undetermined", out)
     print(f"kept {len(result.hard)} of {result.total} questions "
@@ -351,20 +365,15 @@ def cmd_mine_hard(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    settings = _settings(args, file_cfg)
-    seed = _check_seed(settings["seed"], "seed")
+    settings, sections = _resolve(args, _load_config_file(args.config))
+    seed = settings["seed"]
     hard_path = settings["hard_set"]
-    if hard_path is None:
-        raise ConfigError("train needs --hard-set")
     out = _out_dir(settings, seed)
-    gateway_cfg = _section(args, file_cfg, "gateway")
-    prm_cfg = _section(args, file_cfg, "prm")
-    chat = build_chat_backend(gateway_cfg)
+    chat = build_chat_backend(sections["gateway"])
     # Each episode in flight scores with the PRM at most once at a time.
-    prm = build_prm_backend(prm_cfg, episodes_in_flight(chat))
-    env_cfg = _env_config(args, file_cfg)
-    trainer_cfg = _trainer_config(args, file_cfg, seed)
+    prm = build_prm_backend(sections["prm"], episodes_in_flight(chat))
+    env_cfg = _from_section(EnvConfig, sections["env"], "env")
+    trainer_cfg = _from_section(dqn.TrainerConfig, sections["trainer"], "trainer", seed=seed)
 
     questions = evalkit.load_dataset(hard_path)
     if not questions:
@@ -395,14 +404,7 @@ def cmd_train(args) -> int:
         _write(out / "checkpoint_final.json", save_checkpoint(net, seed=seed, episodes=trainer_cfg.episodes))
     _write(out / "reward_curve.tsv", dqn.stats_table(stats))
     _write_json(out / "usage.json", {**dataclasses.asdict(usage.totals()), "calls": usage.calls})
-    _write_json(out / "resolved_config.json", {
-        "command": args.command,
-        **settings,
-        "gateway": gateway_cfg,
-        "prm": prm_cfg,
-        "trainer": _to_section(trainer_cfg, "seed"),
-        "env": _to_section(env_cfg),
-    })
+    _record(out, args.command, settings, sections, env=env_cfg, trainer=trainer_cfg)
     if not stepped:
         return _nothing_done(f"no episode of {trainer_cfg.episodes} took a step, so no checkpoint_final.json", out)
     mean_return = sum(s.episode_return for s in stats) / len(stats)
@@ -412,24 +414,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    settings = _settings(args, file_cfg)
-    seed = _check_seed(settings["seed"], "seed")
-    dataset_path = settings["dataset"]
-    if dataset_path is None:
-        raise ConfigError("eval needs --dataset")
+    settings, sections = _resolve(args, _load_config_file(args.config))
+    seed = settings["seed"]
     policy_name = settings["policy"]
     checkpoint_path = settings["checkpoint"]
     trials = settings["trials"]
     if trials < 1:
         raise ConfigError(f"trials: need at least one, got {trials}")
     out = _out_dir(settings, seed)
-    gateway_cfg = _section(args, file_cfg, "gateway")
-    prm_cfg = _section(args, file_cfg, "prm")
-    chat = build_chat_backend(gateway_cfg)
+    chat = build_chat_backend(sections["gateway"])
     # Each trial in flight scores with the PRM at most once at a time.
-    prm = build_prm_backend(prm_cfg, episodes_in_flight(chat))
-    env_cfg = _env_config(args, file_cfg)
+    prm = build_prm_backend(sections["prm"], episodes_in_flight(chat))
+    env_cfg = _from_section(EnvConfig, sections["env"], "env")
 
     if policy_name not in POLICIES:
         raise ConfigError(f"unknown policy {policy_name!r}")
@@ -443,20 +439,14 @@ def cmd_eval(args) -> int:
     else:
         policy = evalkit.RandomPolicy(seed)
 
-    dataset = evalkit.load_dataset(dataset_path)
+    dataset = evalkit.load_dataset(settings["dataset"])
     cfg = evalkit.EvalConfig(trials=trials, seed=seed, env=env_cfg)
     # Scripted backends take no time, so a fully scripted run zeroes wall times to repeat byte for byte.
     offline = isinstance(chat, ScriptedChatBackend) and isinstance(prm, ScriptedPrm)
     report = evalkit.evaluate(policy, dataset, chat, prm, cfg, offline=offline)
 
     _write_json(out / "report.json", report.to_jsonable())
-    _write_json(out / "resolved_config.json", {
-        "command": args.command,
-        **settings,
-        "gateway": gateway_cfg,
-        "prm": prm_cfg,
-        "env": _to_section(env_cfg),
-    })
+    _record(out, args.command, settings, sections, env=env_cfg)
     if report.total and report.failed_trials == report.total * trials:
         return _nothing_done(f"all {report.failed_trials} trials failed", out)
     print(f"accuracy {report.correct}/{report.total} = {report.accuracy:.4f}")
@@ -469,7 +459,7 @@ def cmd_synth_train(args) -> int:
     # Another command's resolved_config.json records that command's own seed.
     if file_cfg.get("seed") is not None and file_cfg.get("command", args.command) == args.command:
         raise ConfigError("seed: synth-train takes its trainer seeds as seeds (comma-separated)")
-    settings = _settings(args, file_cfg)
+    settings, sections = _resolve(args, file_cfg)
     try:
         seeds = [_check_seed(int(s), "seeds") for s in settings["seeds"].split(",") if s != ""]
     except ValueError as exc:
@@ -483,15 +473,14 @@ def cmd_synth_train(args) -> int:
     sharpness = settings["sharpness"]
     if not 0.0 <= sharpness <= 1.0:
         raise ConfigError(f"sharpness: must lie in [0, 1], got {sharpness}")
-    mdp_seed = _check_seed(settings["mdp_seed"], "mdp_seed")
     threshold = settings["threshold"]
     if settings["min_pass"] is None:
         settings["min_pass"] = len(seeds) - 1 if len(seeds) > 1 else 1
     min_pass = settings["min_pass"]
     out = _out_dir(settings, seeds[0])
 
-    mdp = synthetic.make_scripted(n_states=states, sharpness=sharpness, seed=mdp_seed)
-    trainer_cfgs = [_trainer_config(args, file_cfg, s) for s in seeds]
+    mdp = synthetic.make_scripted(n_states=states, sharpness=sharpness, seed=settings["mdp_seed"])
+    trainer_cfgs = [_from_section(dqn.TrainerConfig, sections["trainer"], "trainer", seed=s) for s in seeds]
     results = []
     passed = 0
     for s, trainer_cfg in zip(seeds, trainer_cfgs):
@@ -516,11 +505,7 @@ def cmd_synth_train(args) -> int:
     summary = dict(settings, passed=passed, verdict=verdict, seeds=results)
     del summary["out_dir"]
     _write_json(out / "synth_results.json", summary)
-    _write_json(out / "resolved_config.json", {
-        "command": args.command,
-        **settings,
-        "trainer": _to_section(trainer_cfgs[0], "seed"),
-    })
+    _record(out, args.command, settings, sections, trainer=trainer_cfgs[0])
     print(f"{passed}/{len(seeds)} seeds passed (need {min_pass}): "
           f"{'PASS' if verdict else 'FAIL'}")
     print(f"artifacts in {out}")

@@ -547,6 +547,31 @@ class TestNothingDone:
             assert json.loads((out / "usage.json").read_text())["calls"] == 0
             assert (out / "resolved_config.json").exists()
 
+    def test_train_against_a_dead_wire_endpoint(self, tmp_path, capsys, monkeypatch):
+        # 12 episodes at the default cap of 4 run K = 10 at once on pool threads;
+        # each fails its first chat call after 3 POSTs, so none takes a step.
+        posts = []
+
+        class Unavailable:
+            status_code = 503
+            text = ""
+
+        def post(session, url, **kwargs):
+            posts.append(url)
+            return Unavailable()
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        # The client's sleep is bound at import: a zero backoff keeps the retries instant.
+        dead = {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m", "backoff_base_s": 0}
+        code, out = self.run(tmp_path, ["train", "--episodes", "12"], [numeric_question("q", "9")], dead)
+        assert code == cli.EXIT_GATEWAY
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gateway error: no episode of 12 took a step")
+        assert len(posts) == 12 * 3
+        assert not (out / "checkpoint_final.json").exists()
+        assert not list(out.glob("checkpoint_ep*.json"))
+        assert json.loads((out / "usage.json").read_text())["calls"] == 0
+
     def test_eval_with_every_trial_failed(self, tmp_path, capsys):
         code, out = self.run(tmp_path, ["eval", "--policy", "fixed-sequence", "--trials", "2"],
                              [numeric_question("q1", "7"), numeric_question("q2", "9")])
@@ -619,6 +644,22 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "trained 12 episodes (seed 5); mean return " in stdout
         assert not list(out.glob("checkpoint_ep*.json"))
+
+    def test_epoch_checkpoints_hold_the_net_after_their_episode(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
+        cfg = write_config(tmp_path, scripted_config(trainer={"batch_size": 4, "buffer_capacity": 8}))
+        data = write_dataset(tmp_path, [numeric_question("hard", "9")])
+        five, four = tmp_path / "five", tmp_path / "four"
+        for out, episodes in ((five, 5), (four, 4)):
+            argv = ["train", "--config", cfg, "--hard-set", data, "--episodes", str(episodes), "--out-dir", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+        assert sorted(p.name for p in five.glob("checkpoint_ep*.json")) == [
+            "checkpoint_ep00002.json", "checkpoint_ep00004.json"]
+        # A scripted backend runs one episode at a time (K = 1), so episode 4's
+        # checkpoint is the net a 4-episode run ends with, and it has learned since episode 2.
+        ep4 = (five / "checkpoint_ep00004.json").read_bytes()
+        assert ep4 == (four / "checkpoint_final.json").read_bytes()
+        assert ep4 != (five / "checkpoint_ep00002.json").read_bytes()
 
     def test_wire_prm_pools_a_connection_per_episode_in_flight(self, tmp_path, monkeypatch):
         # A chat cap of 6 trains 3 * 6 - 2 = 16 episodes at once, each with a PRM call in flight.

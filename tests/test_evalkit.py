@@ -37,7 +37,7 @@ from qnav.gateway import (
 )
 from qnav.net import DuelingNet
 
-from conftest import PooledScriptedChat, standard_rules
+from conftest import EVAL_RESPONSE, PooledScriptedChat, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -359,6 +359,19 @@ class TestEvaluate:
         assert report.results[0].final_answer is None
         assert report.results[0].correct is False
         assert report.accuracy == 0.0
+
+    def test_question_with_no_answer_reports_the_first_trial_that_acted(self):
+        # Trial 0 fails at its first self-evaluation, before any action; trial 1
+        # acts, but its terminate reply holds no answer marker.
+        rules = [ScriptedRule("Please evaluate the current step", EVAL_RESPONSE, fail_times=1)]
+        rules += [r for r in standard_rules() if r.contains not in (rules[0].contains, "The answer is numerical_answer")]
+        rules.append(ScriptedRule("The answer is numerical_answer", "no comment"))
+        report = self.run([record("q1", "What is 3 + 4?", "7")], ScriptedChatBackend(rules), trials=2)
+        q = report.results[0]
+        assert q.final_answer is None
+        assert q.trial_answers == (None, None)
+        assert q.actions == ("DECOMPOSE", "REASON_ONE_STEP", "REFINE", "TERMINATE")
+        assert report.failed_trials == 1
 
     def test_vote_seed_offsets_by_question_index(self):
         # two questions tying 1-1; identical candidates but different vote
