@@ -3,7 +3,9 @@
 The wire backend speaks the OpenAI-compatible chat-completions protocol and
 sends each prompt as a single user message (no system message). It and the
 wire PRM client reach their endpoints through WireEndpoint, the one HTTP
-transport and retry path: each builds a payload and parses the reply. Scripted
+transport and retry path: each builds a payload and parses the reply.
+WireEndpoint POSTs through the urllib3 connection pool that the caller's
+requests.Session holds for the endpoint, resolved once. Scripted
 backends answer from ordered match rules and make the whole pipeline runnable
 offline, byte-for-byte reproducibly; they report zero latency on purpose so
 offline artifacts do not embed timing noise.
@@ -11,6 +13,7 @@ offline artifacts do not embed timing noise.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import threading
@@ -19,7 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import requests
+import urllib3
 from requests.adapters import HTTPAdapter
+from urllib3.exceptions import ProtocolError, ProxyError, SSLError
+from urllib3.exceptions import TimeoutError as Urllib3TimeoutError
 
 log = logging.getLogger(__name__)
 
@@ -139,13 +145,36 @@ class WireConfig(EndpointConfig):
 
 
 class WireEndpoint:
-    """One HTTP endpoint: the only transport and retry path of the wire clients."""
+    """One HTTP endpoint: the only transport and retry path of the wire clients.
+
+    At construction it resolves, for cfg.base_url, what requests would: the
+    proxies, verify and cert settings of session and the environment, the
+    urllib3 connection pool of session's adapter, and the request target
+    (the path, or the absolute URL behind an HTTP proxy). Each POST then goes
+    straight to that pool. The session owns the pool, so closing the session
+    closes its connections. Proxy variables are read once, here; the
+    session's auth, cookies and ~/.netrc are not used. A base_url that does
+    not parse raises requests' own error here.
+    """
+
+    # What requests raises as Timeout or ConnectionError; urllib3's
+    # TimeoutError covers NewConnectionError (connection refused, no such host).
+    TRANSIENT = (Urllib3TimeoutError, ProtocolError, SSLError, ProxyError, OSError)
 
     def __init__(self, cfg: EndpointConfig, session: requests.Session,
                  sleep: Callable[[float], None] = time.sleep):
         self.cfg = cfg
         self.session = session
         self._sleep = sleep
+        base = cfg.base_url.rstrip("/")
+        settings = session.merge_environment_settings(base, {}, None, None, None)
+        prepared = requests.Request("POST", base).prepare()
+        adapter = session.get_adapter(prepared.url)
+        self._pool = adapter.get_connection_with_tls_context(
+            prepared, settings["verify"], settings["proxies"], settings["cert"])
+        self._target = adapter.request_url(prepared, settings["proxies"]).rstrip("/")
+        self._headers = {**session.headers, "Content-Type": "application/json"}
+        self._timeout = urllib3.Timeout(connect=cfg.timeout_s, read=cfg.timeout_s)
 
     def post(self, path: str, payload: dict) -> tuple[object, float, int]:
         """POST payload to cfg.base_url + path: (decoded JSON body, seconds in the last POST, POSTs made).
@@ -154,15 +183,15 @@ class WireEndpoint:
         set. Connection trouble, timeouts, 429 and 5xx are retried, sleeping
         backoff_base_s * 2^(n - 1) after the n-th POST; after max_attempts
         POSTs GatewayRetryError chains the last. 401/403 raise
-        GatewayAuthError, other statuses and non-JSON bodies
-        GatewayProtocolError, neither retried.
+        GatewayAuthError, other statuses (a redirect too: none is followed)
+        and non-JSON bodies GatewayProtocolError, neither retried.
         """
         cfg = self.cfg
-        url = cfg.base_url.rstrip("/") + path
-        headers = {"Content-Type": "application/json"}
+        body = json.dumps(payload, allow_nan=False).encode()
+        headers = self._headers
         key = os.environ.get(cfg.api_key_env)
         if key:
-            headers["Authorization"] = f"Bearer {key}"
+            headers = {**headers, "Authorization": f"Bearer {key}"}
         last: GatewayTransientError | None = None
         for attempt in range(1, cfg.max_attempts + 1):
             if last is not None:
@@ -170,21 +199,26 @@ class WireEndpoint:
                 self._sleep(cfg.backoff_base_s * 2 ** (attempt - 2))
             started = time.monotonic()
             try:
-                resp = self.session.post(url, json=payload, headers=headers, timeout=cfg.timeout_s)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                resp = self._pool.urlopen("POST", self._target + path, body=body, headers=headers,
+                                          timeout=self._timeout, retries=False, redirect=False,
+                                          assert_same_host=False)
+            except self.TRANSIENT as exc:
                 last = GatewayTransientError(f"request failed: {exc}")
                 last.__cause__ = exc
                 continue
             latency = time.monotonic() - started
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last = GatewayTransientError(f"HTTP {resp.status_code}")
+            status = resp.status
+            if status == 429 or status >= 500:
+                last = GatewayTransientError(f"HTTP {status}")
                 continue
-            if resp.status_code in (401, 403):
-                raise GatewayAuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-            if resp.status_code != 200:
-                raise GatewayProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if status in (401, 403):
+                raise GatewayAuthError(f"endpoint rejected credentials (HTTP {status})")
+            if 300 <= status < 400:
+                raise GatewayProtocolError(f"HTTP {status}: redirect to {resp.headers.get('Location')!r} not followed")
+            if status != 200:
+                raise GatewayProtocolError(f"HTTP {status}: {resp.data.decode('utf-8', 'replace')[:200]}")
             try:
-                return resp.json(), latency, attempt
+                return json.loads(resp.data), latency, attempt
             except ValueError as exc:
                 raise GatewayProtocolError(f"response body is not JSON: {exc}") from exc
         raise GatewayRetryError(f"gave up after {cfg.max_attempts} attempts") from last

@@ -1,13 +1,18 @@
-"""Shared fixtures: scripted chat rules that exercise every pipeline stage.
+"""Shared fixtures: scripted chat rules that exercise every pipeline stage,
+and a loopback HTTP endpoint for the wire clients.
 
 The rule strings key off distinctive phrases in the prompt templates, so a
 single backend can serve self-evaluation, all four reasoning blocks, and the
 answer-producing terminate call for a small arithmetic problem (3 + 4).
 """
 
+import json
+import socket
 import sys
 import threading
 import time
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -187,3 +192,112 @@ def dataset_path(tmp_path, sample_questions):
     path = tmp_path / "dataset.jsonl"
     save_dataset(sample_questions, path)
     return path
+
+
+# -- loopback endpoint ----------------------------------------------------------
+
+DROP = object()  # a handler result: close the connection without replying
+
+
+@dataclass(frozen=True)
+class Posted:
+    """One request the loopback endpoint received."""
+
+    request_line: str
+    path: str
+    headers: object  # http.client.HTTPMessage: case-blind lookup, names as sent
+    body: bytes
+
+    def json(self):
+        return json.loads(self.body)
+
+
+class Loopback:
+    """An HTTP/1.1 server on 127.0.0.1 answering each request through handler.
+
+    handler(posted) returns DROP, or (status, body) or (status, body, headers),
+    where a str body is sent as is and anything else as JSON. It runs
+    on the server's connection threads, so a handler with state locks it.
+    received lists every request in arrival order; connections counts the
+    connections accepted.
+    """
+
+    def __init__(self):
+        self.handler = lambda posted: (200, {})
+        self.received = []
+        self.connections = 0
+        self._lock = threading.Lock()
+        self._sockets = []
+        loopback = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def log_message(self, format, *args):  # noqa: A002 - signature of the base class
+                pass
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                posted = Posted(self.requestline, self.path, self.headers, body)
+                with loopback._lock:
+                    loopback.received.append(posted)
+                reply = loopback.handler(posted)
+                if reply is DROP:
+                    self.close_connection = True
+                    return
+                status, doc, headers = reply if len(reply) == 3 else (*reply, {})
+                data = (doc if isinstance(doc, str) else json.dumps(doc)).encode()
+                self.send_response(status)
+                for name, value in {"Content-Type": "application/json", **headers}.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def process_request(self, request, client_address):
+                with loopback._lock:
+                    loopback.connections += 1
+                    loopback._sockets.append(request)
+                super().process_request(request, client_address)
+
+            def handle_error(self, request, client_address):
+                pass  # a client that timed out has gone before its reply is written
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self.port = self._server.server_address[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+        threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True).start()
+
+    def paths(self):
+        return [p.path for p in self.received]
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
+        with self._lock:
+            for sock in self._sockets:  # ends connection threads waiting on a kept-alive client
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+
+@pytest.fixture
+def loopback():
+    endpoint = Loopback()
+    try:
+        yield endpoint
+    finally:
+        endpoint.close()
+
+
+@pytest.fixture
+def dead_url():
+    """An http:// URL on 127.0.0.1 whose port has no listener."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"

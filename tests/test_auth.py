@@ -2,9 +2,8 @@
 PRM is a GatewayAuthError that no episode, trial or mined question absorbs.
 A dead endpoint (retries used up) stays a failure of that one question."""
 
-import threading
-
 import pytest
+import requests
 
 from conftest import standard_rules
 from qnav import dqn
@@ -24,56 +23,50 @@ from qnav.gateway import (
 NUM = DatasetKind.ELEMENTARY_MATH_NUMERIC
 
 
-class _Status:
-    def __init__(self, status_code):
-        self.status_code = status_code
-        self.text = ""
+class StatusEndpoint:
+    """Makes the loopback endpoint answer every POST with one HTTP status; posts counts them."""
 
+    def __init__(self, loopback, status_code=401):
+        self.loopback = loopback
+        self.url = loopback.url
+        loopback.handler = lambda posted: (status_code, "")
 
-class StatusSession:
-    """Stands in for requests.Session: answers every POST with one HTTP status."""
-
-    def __init__(self, status_code=401):
-        self.status_code = status_code
-        self.posts = 0
-        self._lock = threading.Lock()
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        with self._lock:
-            self.posts += 1
-        return _Status(self.status_code)
+    @property
+    def posts(self):
+        return len(self.loopback.received)
 
 
 def questions(n=6):
     return [QuestionRecord(f"q{i}", f"What is 3 + {i}?", str(3 + i), NUM) for i in range(n)]
 
 
-def wire_chat(session, max_in_flight=2, **cfg):
+def wire_chat(endpoint, max_in_flight=2, **cfg):
     return OpenAIChatBackend(
-        WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=max_in_flight, **cfg), session=session
+        WireConfig(base_url=endpoint.url + "/v1", model="m", max_in_flight=max_in_flight, **cfg)
     )
 
 
-def denying_prm():
-    return WirePrm(PrmWireConfig(base_url="http://unit.test"), session=StatusSession(401))
+def denying_prm(loopback):
+    return WirePrm(PrmWireConfig(base_url=StatusEndpoint(loopback, 401).url), session=requests.Session())
 
 
 @pytest.mark.parametrize("status", [401, 403])
-def test_mining_stops_on_rejected_credentials(status):
-    session = StatusSession(status)
+def test_mining_stops_on_rejected_credentials(loopback, status):
+    endpoint = StatusEndpoint(loopback, status)
     with pytest.raises(GatewayAuthError):
-        mine_hard(questions(), wire_chat(session))
-    assert session.posts <= 2  # no question starts after the first rejection on each worker
+        mine_hard(questions(), wire_chat(endpoint))
+    assert endpoint.posts <= 2  # no question starts after the first rejection on each worker
 
 
-def test_evaluation_stops_on_rejected_credentials():
+def test_evaluation_stops_on_rejected_credentials(loopback):
     with pytest.raises(GatewayAuthError):
-        evaluate(FixedSequencePolicy(), questions(), wire_chat(StatusSession()), ScriptedPrm(), EvalConfig(trials=2))
+        evaluate(FixedSequencePolicy(), questions(), wire_chat(StatusEndpoint(loopback)), ScriptedPrm(),
+                 EvalConfig(trials=2))
 
 
 @pytest.mark.parametrize("max_in_flight", [1, 2])
-def test_training_stops_on_rejected_credentials(max_in_flight):
-    chat = wire_chat(StatusSession(), max_in_flight=max_in_flight)
+def test_training_stops_on_rejected_credentials(loopback, max_in_flight):
+    chat = wire_chat(StatusEndpoint(loopback), max_in_flight=max_in_flight)
 
     def env_factory(rng):
         return ReasoningEpisode(problem="What is 3 + 4?", kind=NUM, chat=chat, prm=ScriptedPrm())
@@ -84,18 +77,18 @@ def test_training_stops_on_rejected_credentials(max_in_flight):
 
 @pytest.mark.parametrize("action", [ActionKind.REASON_ONE_STEP, ActionKind.TERMINATE],
                          ids=["scored-beside-self-eval", "scored-on-the-step-thread"])
-def test_prm_rejection_inside_a_step_propagates(action):
+def test_prm_rejection_inside_a_step_propagates(loopback, action):
     episode = ReasoningEpisode(
-        problem="What is 3 + 4?", kind=NUM, chat=ScriptedChatBackend(standard_rules()), prm=denying_prm()
+        problem="What is 3 + 4?", kind=NUM, chat=ScriptedChatBackend(standard_rules()), prm=denying_prm(loopback)
     )
     episode.reset()
     with pytest.raises(GatewayAuthError):
         episode.step(action)
 
 
-def test_training_stops_on_a_rejected_prm():
+def test_training_stops_on_a_rejected_prm(loopback):
     chat = ScriptedChatBackend(standard_rules())
-    prm = denying_prm()
+    prm = denying_prm(loopback)
 
     def env_factory(rng):
         return ReasoningEpisode(problem="What is 3 + 4?", kind=NUM, chat=chat, prm=prm)
@@ -104,12 +97,12 @@ def test_training_stops_on_a_rejected_prm():
         dqn.run_training(env_factory, dqn.TrainerConfig(episodes=5, batch_size=2, buffer_capacity=4))
 
 
-def test_a_dead_endpoint_fails_one_question_at_a_time():
-    session = StatusSession(503)
-    chat = wire_chat(session, max_attempts=2, backoff_base_s=0.0)
+def test_a_dead_endpoint_fails_one_question_at_a_time(loopback):
+    endpoint = StatusEndpoint(loopback, 503)
+    chat = wire_chat(endpoint, max_attempts=2, backoff_base_s=0.0)
     records = questions(3)
     result = mine_hard(records, chat)
     assert result.undetermined == tuple(r.id for r in records)
     report = evaluate(FixedSequencePolicy(), records, chat, ScriptedPrm(), EvalConfig(trials=1))
     assert report.correct == 0 and all(q.trial_answers == (None,) for q in report.results)
-    assert session.posts == 2 * (len(records) + len(records))
+    assert endpoint.posts == 2 * (len(records) + len(records))

@@ -99,6 +99,16 @@ class TestUnresolved:
         assert verdict(bench_pairs, metric, self.WIDE, beats_most)["unresolved"] is True
 
 
+@pytest.mark.parametrize("change, worse, shown", [([0.0] * 4, False, False), ([2.0] * 4, False, True)],
+                         ids=["still-zero", "rose"])
+def test_parent_median_of_zero_has_no_ratio(bench_pairs, change, worse, shown):
+    # A workload whose units complete nothing on the parent: no ratio to report, same verdicts.
+    s = verdict(bench_pairs, HIGHER, [0.0] * 4, change)
+    assert s["change_over_parent_median"] is None
+    assert (s["worse_beyond_bound"], s["gain_shown"], s["unresolved"]) == (worse, shown, False)
+    assert verdict(bench_pairs, LOWER, [0.0] * 4, [0.0] * 4)["change_over_parent_median"] is None
+
+
 def test_metric_in_fewer_than_two_pairs_is_skipped(bench_pairs):
     pairs = pairs_of(HIGHER, [100, 100, 100], [110, 110, 110])
     for pair in pairs[1:]:

@@ -1,8 +1,8 @@
 """Command-line behaviour: artifacts, stdout contracts, and exit codes.
 
 Every test drives cli.main() in process with scripted backends, or wire ones
-over a patched HTTP session, so runs are deterministic and touch only pytest
-temp directories.
+against the loopback endpoint of conftest.py, so runs are deterministic and
+touch only pytest temp directories.
 """
 
 import argparse
@@ -14,7 +14,6 @@ import random
 from pathlib import Path
 
 import pytest
-import requests
 
 from conftest import standard_rules
 from qnav import cli, core, evalkit, gateway
@@ -490,16 +489,13 @@ class TestRejectedCredentials:
     """A 401 from either endpoint ends mine-hard, train and eval with exit 4
     before any artifact is written, so no output directory is made."""
 
-    WIRE_GATEWAY = {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m"}
-    WIRE_PRM = {"backend": "wire", "base_url": "http://localhost:9"}
+    WIRE_GATEWAY = {"backend": "openai", "model": "m"}
+    WIRE_PRM = {"backend": "wire"}
 
     @pytest.fixture(autouse=True)
-    def deny(self, monkeypatch):
-        class Denied:
-            status_code = 401
-            text = ""
-
-        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: Denied())
+    def deny(self, loopback):
+        loopback.handler = lambda posted: (401, "")
+        self.base_urls = {"gateway": loopback.url + "/v1", "prm": loopback.url}
 
     @pytest.mark.parametrize("argv, sections", [
         (["mine-hard"], {"gateway": WIRE_GATEWAY}),
@@ -509,6 +505,7 @@ class TestRejectedCredentials:
         (["eval", "--policy", "fixed-sequence"], {"prm": WIRE_PRM}),
     ], ids=["mine-hard", "train-chat", "train-prm", "eval-chat", "eval-prm"])
     def test_exits_with_the_gateway_code_and_writes_nothing(self, tmp_path, capsys, argv, sections):
+        sections = {name: {**section, "base_url": self.base_urls[name]} for name, section in sections.items()}
         cfg = write_config(tmp_path, scripted_config(**sections))
         data = write_dataset(tmp_path, [numeric_question("q1", "7"), numeric_question("q2", "9")])
         data_flag = "--hard-set" if argv[0] == "train" else "--dataset"
@@ -547,22 +544,13 @@ class TestNothingDone:
             assert json.loads((out / "usage.json").read_text())["calls"] == 0
             assert (out / "resolved_config.json").exists()
 
-    def test_train_against_a_dead_wire_endpoint(self, tmp_path, capsys, monkeypatch):
+    def test_train_against_a_dead_wire_endpoint(self, tmp_path, capsys, loopback):
         # 12 episodes at the default cap of 4 run K = 10 at once on pool threads;
         # each fails its first chat call after 3 POSTs, so none takes a step.
-        posts = []
-
-        class Unavailable:
-            status_code = 503
-            text = ""
-
-        def post(session, url, **kwargs):
-            posts.append(url)
-            return Unavailable()
-
-        monkeypatch.setattr(requests.Session, "post", post)
+        loopback.handler = lambda posted: (503, "")
+        posts = loopback.received
         # The client's sleep is bound at import: a zero backoff keeps the retries instant.
-        dead = {"backend": "openai", "base_url": "http://localhost:9/v1", "model": "m", "backoff_base_s": 0}
+        dead = {"backend": "openai", "base_url": loopback.url + "/v1", "model": "m", "backoff_base_s": 0}
         code, out = self.run(tmp_path, ["train", "--episodes", "12"], [numeric_question("q", "9")], dead)
         assert code == cli.EXIT_GATEWAY
         err = capsys.readouterr().err.splitlines()

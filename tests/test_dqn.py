@@ -491,39 +491,33 @@ def train_workers():
     return [t for t in threading.enumerate() if t.name.startswith("qnav-train")]
 
 
-class _Completion:
-    status_code = 200
-    text = ""
-
-    def __init__(self, exchange):
-        self.exchange = exchange
-
-    def json(self):
-        return {
-            "choices": [{"message": {"content": self.exchange.text}}],
-            "usage": {"prompt_tokens": self.exchange.usage.input_tokens,
-                      "completion_tokens": self.exchange.usage.output_tokens},
-        }
+def _completion(exchange):
+    return 200, {
+        "choices": [{"message": {"content": exchange.text}}],
+        "usage": {"prompt_tokens": exchange.usage.input_tokens, "completion_tokens": exchange.usage.output_tokens},
+    }
 
 
-class ScriptedSession:
-    """Stands in for requests.Session in front of OpenAIChatBackend: each POST
-    pauses briefly, then answers from the standard scripted rules; peak is
-    the most POSTs seen at once."""
+class ScriptedEndpoint:
+    """Makes the loopback endpoint serve OpenAIChatBackend: each POST pauses
+    briefly, then answers from the standard scripted rules; peak is the most
+    POSTs seen at once."""
 
-    def __init__(self):
+    def __init__(self, loopback):
+        self.url = loopback.url
         self.rules = ScriptedChatBackend(standard_rules())
         self.lock = threading.Lock()
         self.active = 0
         self.peak = 0
+        loopback.handler = self.answer
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def answer(self, posted):
         with self.lock:
             self.active += 1
             self.peak = max(self.peak, self.active)
         try:
             time.sleep(0.002)
-            return _Completion(self.rules.complete(ChatRequest(json["messages"][0]["content"])))
+            return _completion(self.rules.complete(ChatRequest(posted.json()["messages"][0]["content"])))
         finally:
             with self.lock:
                 self.active -= 1
@@ -656,15 +650,13 @@ class TestEpisodesInFlight:
         assert first == second == third
         assert not train_workers()
 
-    def test_wire_chat_keeps_its_cap_with_surplus_episodes(self, caplog, sample_questions):
+    def test_wire_chat_keeps_its_cap_with_surplus_episodes(self, caplog, sample_questions, loopback):
         # A cap of 2 chat calls gives 4 episodes in flight; the backend makes the others wait.
         caplog.set_level(logging.INFO, logger="qnav.dqn")
 
         def train():
-            session = ScriptedSession()
-            chat = OpenAIChatBackend(
-                WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
-            )
+            server = ScriptedEndpoint(loopback)
+            chat = OpenAIChatBackend(WireConfig(base_url=server.url + "/v1", model="m", max_in_flight=2))
             prm = ScriptedPrm(rules=[("Step 2", 0.8), ("Step 1", 0.3)], default=0.6)
 
             def factory(rng):
@@ -672,7 +664,7 @@ class TestEpisodesInFlight:
                 return ReasoningEpisode(record.question, record.kind, chat, prm, question_id=record.id)
 
             net, stats = run_training(factory, self.cfg(episodes=16))
-            assert session.peak == 2  # both chat slots busy at once, never a third POST
+            assert server.peak == 2  # both chat slots busy at once, never a third POST
             return save_checkpoint(net, seed=1, episodes=16), stats_table(stats)
 
         assert train() == train()

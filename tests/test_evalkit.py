@@ -553,31 +553,26 @@ class TestConcurrentEvalAndMining:
         assert self.terminated(chat) == len(first)
 
 
-class _Reply:
-    status_code = 200
-    text = ""
-
-    def __init__(self, content="The answer is 2."):
-        self.content = content
-
-    def json(self):
-        return {
-            "choices": [{"message": {"content": self.content}}],
-            "usage": {"prompt_tokens": 3, "completion_tokens": 4},
-        }
+def _reply(content="The answer is 2."):
+    return 200, {
+        "choices": [{"message": {"content": content}}],
+        "usage": {"prompt_tokens": 3, "completion_tokens": 4},
+    }
 
 
-class RendezvousSession:
-    """Stands in for requests.Session: POSTs block until `slots` of them are
-    in flight at once, then return together; peak is the most seen at once."""
+class RendezvousEndpoint:
+    """Makes the loopback endpoint hold POSTs until `slots` of them are in
+    flight at once, then answer them together; peak is the most seen at once."""
 
-    def __init__(self, slots):
+    def __init__(self, loopback, slots):
+        self.url = loopback.url
         self.meet = threading.Barrier(slots, timeout=10)
         self.active = 0
         self.peak = 0
         self._count = threading.Lock()
+        loopback.handler = self.answer
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def answer(self, posted):
         with self._count:
             self.active += 1
             self.peak = max(self.peak, self.active)
@@ -586,57 +581,61 @@ class RendezvousSession:
         finally:
             with self._count:
                 self.active -= 1
-        return _Reply()
+        return _reply()
 
 
-def test_wire_backend_never_exceeds_its_in_flight_cap_under_mining():
+def test_wire_backend_never_exceeds_its_in_flight_cap_under_mining(loopback):
     # Two mining runs share one backend: four pool threads compete for two slots.
-    session = RendezvousSession(slots=2)
-    chat = OpenAIChatBackend(
-        WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
-    )
+    server = RendezvousEndpoint(loopback, slots=2)
+    chat = OpenAIChatBackend(WireConfig(base_url=server.url + "/v1", model="m", max_in_flight=2))
     runs = [[record(f"{tag}{i}", f"What is 1 + 1? ({tag}{i})", "2") for i in range(6)] for tag in "ab"]
     with ThreadPoolExecutor(max_workers=2) as outer:
         results = [f.result(timeout=30) for f in [outer.submit(mine_hard, run, chat) for run in runs]]
-    assert session.peak == 2
+    assert server.peak == 2
     assert all(r.hard == () and r.undetermined == () for r in results)
 
 
-class ScriptedSession:
-    """Stands in for requests.Session: each chat POST pauses briefly, then
-    answers from standard_rules; peak is the most POSTs seen in flight at
-    once, threads the threads that posted."""
+class ScriptedEndpoint:
+    """Makes the loopback endpoint answer chat POSTs: each pauses briefly,
+    then answers from standard_rules; peak is the most POSTs seen in flight
+    at once."""
 
     RULES = standard_rules()
 
-    def __init__(self):
+    def __init__(self, loopback):
+        self.url = loopback.url
         self.active = 0
         self.peak = 0
-        self.threads = set()
         self._count = threading.Lock()
+        loopback.handler = self.answer
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def answer(self, posted):
         with self._count:
             self.active += 1
             self.peak = max(self.peak, self.active)
-            self.threads.add(threading.get_ident())
         try:
             time.sleep(0.002)
         finally:
             with self._count:
                 self.active -= 1
-        prompt = json["messages"][0]["content"]
-        return _Reply(next(r.response for r in self.RULES if r.contains in prompt))
+        prompt = posted.json()["messages"][0]["content"]
+        return _reply(next(r.response for r in self.RULES if r.contains in prompt))
 
 
-def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval():
+def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval(loopback):
     # A cap of 2 runs 3 * 2 - 2 = 4 trials at once: four threads compete for two slots.
-    session = ScriptedSession()
-    chat = OpenAIChatBackend(
-        WireConfig(base_url="http://unit.test/v1", model="m", max_in_flight=2), session=session
-    )
+    server = ScriptedEndpoint(loopback)
+    chat = OpenAIChatBackend(WireConfig(base_url=server.url + "/v1", model="m", max_in_flight=2))
+    threads = set()  # the client threads that called the backend
+    complete = chat.complete
+
+    def recording_complete(request):
+        threads.add(threading.get_ident())
+        return complete(request)
+
+    chat.complete = recording_complete
     dataset = [record(f"e{i}", f"What is 3 + 4? ({i})", "7") for i in range(3)]
     report = evaluate(FixedSequencePolicy(), dataset, chat, ScriptedPrm(), EvalConfig(trials=3))
     assert report.correct == 3
-    assert len(session.threads) == 4
-    assert session.peak == 2
+    assert len(threads) == 4
+    assert server.peak == 2

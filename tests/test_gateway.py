@@ -1,12 +1,20 @@
 """Gateway tests: scripted backends, and wire clients with their retry policy.
 
-Wire clients are exercised against a fake requests session; no sockets.
+Wire clients POST over real sockets to the loopback endpoint of conftest.py,
+which answers with queued outcomes: a status and body, a dropped connection,
+or a reply slower than the client's timeout.
 """
 
+import json
+import socket
 import threading
+import time
 
 import pytest
 import requests
+from urllib3.exceptions import NewConnectionError, ProtocolError
+
+from conftest import DROP
 
 from qnav.gateway import (
     ChatRequest,
@@ -29,31 +37,42 @@ from qnav.gateway import (
 )
 
 
+STALL = object()  # an outcome: reply only after the client's timeout has passed
+STALL_TIMEOUT_S = 0.2
+
+
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    """A reply to queue: status_code and headers, with payload as JSON, or with text when payload is None."""
+
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+        self.body = text if payload is None else payload
+        self.headers = headers or {}
 
 
-class FakeSession:
-    """Stands in for requests.Session; replays queued responses/exceptions."""
+class ScriptedEndpoint:
+    """Answers the loopback endpoint's POSTs with queued outcomes, in order:
+    a FakeResponse, DROP (close the connection unanswered) or STALL. calls
+    lists what each POST sent."""
 
-    def __init__(self, outcomes):
+    def __init__(self, loopback, outcomes):
+        self.loopback = loopback
+        self.url = loopback.url
         self.outcomes = list(outcomes)
-        self.calls = []
+        loopback.handler = self.answer
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def answer(self, posted):
         outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        if outcome is STALL:
+            time.sleep(5 * STALL_TIMEOUT_S)
+            return 200, {}
+        if outcome is DROP:
+            return DROP
+        return outcome.status_code, outcome.body, outcome.headers
+
+    @property
+    def calls(self):
+        return [{"url": self.url + p.path, "json": p.json(), "headers": p.headers} for p in self.loopback.received]
 
 
 def completion_payload(text="hello", prompt_tokens=12, completion_tokens=5):
@@ -120,70 +139,96 @@ class TestScriptedBackend:
 class TestCallWithRetries:
     """The retry loop of WireEndpoint.post, driven directly rather than through a client."""
 
-    def make(self, outcomes, max_attempts):
-        session = FakeSession(outcomes)
-        cfg = WireConfig(base_url="http://unit.test", model="m", max_attempts=max_attempts, backoff_base_s=0.01)
-        return WireEndpoint(cfg, session, sleep=lambda _: None), session
+    @pytest.fixture(autouse=True)
+    def _loopback(self, loopback):
+        self.loopback = loopback
+
+    def make(self, outcomes, max_attempts, base_url=None, sleep=lambda _: None):
+        server = ScriptedEndpoint(self.loopback, outcomes)
+        cfg = WireConfig(base_url=base_url or server.url, model="m", max_attempts=max_attempts, backoff_base_s=0.01)
+        return WireEndpoint(cfg, requests.Session(), sleep=sleep), server
 
     def test_budget_exhausted_raises_retry_error(self):
-        endpoint, session = self.make([requests.ConnectionError("always down")] * 3, max_attempts=3)
+        endpoint, server = self.make([DROP] * 3, max_attempts=3)
         with pytest.raises(GatewayRetryError) as err:
             endpoint.post("/x", {})
-        assert len(session.calls) == 3
+        assert len(server.calls) == 3
         assert isinstance(err.value.__cause__, GatewayTransientError)
-        assert isinstance(err.value.__cause__.__cause__, requests.ConnectionError)
+        assert isinstance(err.value.__cause__.__cause__, ProtocolError)
+
+    def test_refused_connection_is_transient(self, dead_url):
+        delays = []
+        endpoint, _ = self.make([], max_attempts=3, base_url=dead_url, sleep=delays.append)
+        with pytest.raises(GatewayRetryError) as err:
+            endpoint.post("/x", {})
+        assert delays == [0.01, 0.02]  # three POSTs, each refused
+        assert isinstance(err.value.__cause__.__cause__, NewConnectionError)
 
     def test_non_transient_errors_pass_through(self):
         for status, error in [(401, GatewayAuthError), (403, GatewayAuthError), (418, GatewayProtocolError)]:
-            endpoint, session = self.make([FakeResponse(status, text="no")] * 5, max_attempts=5)
+            self.loopback.received.clear()
+            endpoint, server = self.make([FakeResponse(status, text="no")] * 5, max_attempts=5)
             with pytest.raises(error):
                 endpoint.post("/x", {})
-            assert len(session.calls) == 1
+            assert len(server.calls) == 1
+
+    @pytest.mark.parametrize("base_url, error", [
+        ("unit.test/v1", requests.exceptions.MissingSchema),
+        ("localhost:9/v1", requests.exceptions.InvalidSchema),
+        ("http:///v1", requests.exceptions.InvalidURL),
+    ], ids=["no-scheme", "host-as-scheme", "no-host"])
+    def test_unparseable_url_fails_at_construction(self, base_url, error):
+        with pytest.raises(error):
+            self.make([], max_attempts=3, base_url=base_url)
 
 
 class WireTransportCases:
     """Transport behaviour both wire clients share; a subclass supplies the client.
 
-    make(outcomes, **cfg) -> (client, session); ok(value) is a 200 response
+    make(outcomes, **cfg) -> (client, server); ok(value) is a 200 response
     the client reads as value; call(client) returns what the client read.
     """
 
+    @pytest.fixture(autouse=True)
+    def _loopback(self, loopback):
+        self.loopback = loopback
+
     def test_no_auth_header_when_env_unset(self, monkeypatch):
         monkeypatch.delenv("QNAV_API_KEY", raising=False)
-        client, session = self.make([self.ok(0.5)])
+        client, server = self.make([self.ok(0.5)])
         self.call(client)
-        assert "Authorization" not in session.calls[0]["headers"]
+        assert "Authorization" not in server.calls[0]["headers"]
 
     def test_bearer_header_from_named_env_var(self, monkeypatch):
         monkeypatch.setenv("OTHER_KEY", "sk-test")
-        client, session = self.make([self.ok(0.5)], api_key_env="OTHER_KEY")
+        client, server = self.make([self.ok(0.5)], api_key_env="OTHER_KEY")
         self.call(client)
-        assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
+        assert server.calls[0]["headers"]["Authorization"] == "Bearer sk-test"
 
     def test_auth_failure_is_not_retried(self):
-        client, session = self.make([FakeResponse(401, text="denied")])
+        client, server = self.make([FakeResponse(401, text="denied")])
         with pytest.raises(GatewayAuthError):
             self.call(client)
-        assert len(session.calls) == 1
+        assert len(server.calls) == 1
 
     def test_rate_limit_then_success_retries(self):
-        client, session = self.make([FakeResponse(429), self.ok(0.25)])
+        client, server = self.make([FakeResponse(429), self.ok(0.25)])
         assert self.call(client) == 0.25
-        assert len(session.calls) == 2
+        assert len(server.calls) == 2
 
     def test_succeeds_after_transient_failures(self):
         delays = []
-        client, session = self.make([FakeResponse(503), requests.ConnectionError("reset"), self.ok(0.5)],
+        client, server = self.make([FakeResponse(503), DROP, self.ok(0.5)],
                                     sleep=delays.append)
         assert self.call(client) == 0.5
-        assert len(session.calls) == 3
+        assert len(server.calls) == 3
         assert delays == [0.5, 1.0]  # backoff_base_s, then twice that
 
     def test_server_errors_exhaust_budget(self):
-        client, session = self.make([FakeResponse(500)] * 3)
+        client, server = self.make([FakeResponse(500)] * 3)
         with pytest.raises(GatewayRetryError) as err:
             self.call(client)
-        assert len(session.calls) == 3
+        assert len(server.calls) == 3
         assert isinstance(err.value.__cause__, GatewayTransientError)
         assert str(err.value.__cause__) == "HTTP 500"
 
@@ -195,27 +240,34 @@ class WireTransportCases:
         assert delays == [0.2, 0.4]
 
     def test_timeouts_count_as_transient(self):
-        client, _ = self.make([requests.Timeout("slow"), self.ok(0.75)])
+        client, server = self.make([STALL, self.ok(0.75)], timeout_s=STALL_TIMEOUT_S)
         assert self.call(client) == 0.75
+        assert len(server.calls) == 2
+
+    def test_redirect_is_not_followed(self):
+        client, server = self.make([FakeResponse(302, text="moved", headers={"Location": "/elsewhere"})])
+        with pytest.raises(GatewayProtocolError, match="HTTP 302.*/elsewhere"):
+            self.call(client)
+        assert len(server.calls) == 1
 
     def test_unexpected_status_is_protocol_error(self):
-        client, session = self.make([FakeResponse(418, text="teapot")])
+        client, server = self.make([FakeResponse(418, text="teapot")])
         with pytest.raises(GatewayProtocolError):
             self.call(client)
-        assert len(session.calls) == 1
+        assert len(server.calls) == 1
 
     def test_non_json_body_is_protocol_error(self):
-        client, session = self.make([FakeResponse(200, None, text="<html>")])
+        client, server = self.make([FakeResponse(200, None, text="<html>")])
         with pytest.raises(GatewayProtocolError):
             self.call(client)
-        assert len(session.calls) == 1
+        assert len(server.calls) == 1
 
 
 class TestOpenAIChatBackend(WireTransportCases):
     def make(self, outcomes, sleep=lambda _: None, **cfg_overrides):
-        cfg = WireConfig(base_url="http://unit.test/v1", model="m", **cfg_overrides)
-        session = FakeSession(outcomes)
-        return OpenAIChatBackend(cfg, session=session, sleep=sleep), session
+        server = ScriptedEndpoint(self.loopback, outcomes)
+        cfg = WireConfig(base_url=server.url + "/v1", model="m", **cfg_overrides)
+        return OpenAIChatBackend(cfg, session=requests.Session(), sleep=sleep), server
 
     def ok(self, value):
         return FakeResponse(200, completion_payload(str(value)))
@@ -232,6 +284,7 @@ class TestOpenAIChatBackend(WireTransportCases):
         backend = OpenAIChatBackend(WireConfig(base_url=url, model="m", max_in_flight=12))
         adapter = backend._endpoint.session.get_adapter(url)
         assert adapter.poolmanager.connection_pool_kw["maxsize"] == 12
+        assert backend._endpoint._pool.pool.maxsize == 12  # the pool its POSTs go through
 
     def test_callers_session_is_left_as_given(self):
         session = requests.Session()
@@ -240,13 +293,13 @@ class TestOpenAIChatBackend(WireTransportCases):
         assert session.adapters == adapters
 
     def test_parses_completion_and_usage(self):
-        backend, session = self.make([FakeResponse(200, completion_payload("out"))])
+        backend, server = self.make([FakeResponse(200, completion_payload("out"))])
         ex = backend.complete(ChatRequest("hi", temperature=0.3, max_output_tokens=77))
         assert ex.text == "out"
         assert ex.usage == Usage(input_tokens=12, output_tokens=5)
         assert ex.attempts == 1
-        call = session.calls[0]
-        assert call["url"] == "http://unit.test/v1/chat/completions"
+        call = server.calls[0]
+        assert call["url"] == server.url + "/v1/chat/completions"
         assert call["json"]["messages"] == [{"role": "user", "content": "hi"}]
         assert call["json"]["temperature"] == 0.3
         assert call["json"]["max_tokens"] == 77
@@ -285,9 +338,9 @@ class TestOpenAIChatBackend(WireTransportCases):
 
 class TestWirePrmTransport(WireTransportCases):
     def make(self, outcomes, sleep=lambda _: None, **cfg_overrides):
-        cfg = PrmWireConfig(base_url="http://unit.test", **cfg_overrides)
-        session = FakeSession(outcomes)
-        return WirePrm(cfg, session=session, sleep=sleep), session
+        server = ScriptedEndpoint(self.loopback, outcomes)
+        cfg = PrmWireConfig(base_url=server.url, **cfg_overrides)
+        return WirePrm(cfg, session=requests.Session(), sleep=sleep), server
 
     def ok(self, value):
         return FakeResponse(200, {"score": value})
@@ -317,6 +370,14 @@ def test_wire_config_rejects_zero_in_flight_slots():
 
 
 class TestPrm:
+    @pytest.fixture(autouse=True)
+    def _loopback(self, loopback):
+        self.loopback = loopback
+
+    def wire_prm(self, outcomes, **cfg):
+        server = ScriptedEndpoint(self.loopback, outcomes)
+        prm = WirePrm(PrmWireConfig(base_url=server.url, **cfg), session=requests.Session(), sleep=lambda _: None)
+        return prm, server
     def test_scripted_rules_match_reasoning(self):
         prm = ScriptedPrm([("sum is 7", 0.9), ("wrong", 0.1)], default=0.4)
         assert prm.score("p", "Step 1: the sum is 7") == 0.9
@@ -336,40 +397,32 @@ class TestPrm:
         assert score_process(ScriptedPrm(default=0.765), "p", "r") == 0.765
 
     def test_wire_prm_parses_score(self):
-        cfg = PrmWireConfig(base_url="http://unit.test")
-        session = FakeSession([FakeResponse(200, {"score": 0.85})])
-        prm = WirePrm(cfg, session=session, sleep=lambda _: None)
+        prm, server = self.wire_prm([FakeResponse(200, {"score": 0.85})])
         assert prm.score("prob", "reasoning") == 0.85
-        call = session.calls[0]
-        assert call["url"] == "http://unit.test/score"
+        call = server.calls[0]
+        assert call["url"] == server.url + "/score"
         assert call["json"] == {"problem": "prob", "reasoning": "reasoning"}
 
     def test_wire_prm_retries_then_gives_up(self):
-        cfg = PrmWireConfig(base_url="http://unit.test", max_attempts=2)
-        session = FakeSession([FakeResponse(503), FakeResponse(503)])
-        prm = WirePrm(cfg, session=session, sleep=lambda _: None)
+        prm, server = self.wire_prm([FakeResponse(503), FakeResponse(503)], max_attempts=2)
         with pytest.raises(GatewayRetryError):
             prm.score("p", "r")
-        assert len(session.calls) == 2
+        assert len(server.calls) == 2
 
     def test_wire_prm_malformed_payload(self):
-        cfg = PrmWireConfig(base_url="http://unit.test")
-        session = FakeSession([FakeResponse(200, {"value": 1})])
-        prm = WirePrm(cfg, session=session, sleep=lambda _: None)
+        prm, _ = self.wire_prm([FakeResponse(200, {"value": 1})])
         with pytest.raises(GatewayProtocolError):
             prm.score("p", "r")
 
     @pytest.mark.parametrize("score", [True, "0.5", None, [0.5]], ids=["boolean", "string", "null", "list"])
     def test_wire_prm_score_must_be_a_number(self, score):
-        session = FakeSession([FakeResponse(200, {"score": score})])
-        prm = WirePrm(PrmWireConfig(base_url="http://unit.test"), session=session, sleep=lambda _: None)
+        prm, _ = self.wire_prm([FakeResponse(200, {"score": score})])
         with pytest.raises(GatewayProtocolError):
             prm.score("p", "r")
 
     @pytest.mark.parametrize("score", [1, 0.25])
     def test_wire_prm_takes_integer_and_float_scores(self, score):
-        session = FakeSession([FakeResponse(200, {"score": score})])
-        prm = WirePrm(PrmWireConfig(base_url="http://unit.test"), session=session, sleep=lambda _: None)
+        prm, _ = self.wire_prm([FakeResponse(200, {"score": score})])
         assert prm.score("p", "r") == score
 
 
@@ -405,3 +458,111 @@ class TestUsageLog:
             t.join()
         assert logbook.calls == 1600
         assert logbook.totals() == Usage(input_tokens=1600, output_tokens=1600)
+
+
+class TestOnTheWire:
+    """What the wire clients send and how they connect, seen by a loopback endpoint."""
+
+    CHAT_REPLY = (200, completion_payload("ok"))
+
+    def test_sequential_calls_share_one_connection(self, loopback):
+        loopback.handler = lambda posted: self.CHAT_REPLY
+        backend = OpenAIChatBackend(WireConfig(base_url=loopback.url + "/v1", model="m"))
+        for i in range(20):
+            assert backend.complete(ChatRequest(f"q{i}")).text == "ok"
+        assert len(loopback.received) == 20
+        assert loopback.connections == 1
+
+    @pytest.mark.parametrize("key", [None, "sk-wire"], ids=["no-key", "key"])
+    def test_request_line_body_and_header_names(self, loopback, monkeypatch, key):
+        if key is None:
+            monkeypatch.delenv("QNAV_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("QNAV_API_KEY", key)
+        loopback.handler = lambda posted: self.CHAT_REPLY if posted.path.endswith("/completions") else (
+            200, {"score": 0.5})
+        session = requests.Session()
+        OpenAIChatBackend(WireConfig(base_url=loopback.url + "/v1/", model="m"), session=session).complete(
+            ChatRequest("What is 3 + 4?", temperature=0.25, max_output_tokens=64))
+        WirePrm(PrmWireConfig(base_url=loopback.url), session=session).score("What is 3 + 4?", "Step 1: 7")
+        chat, prm = loopback.received
+        assert chat.request_line == "POST /v1/chat/completions HTTP/1.1"
+        assert chat.body == json.dumps({
+            "model": "m", "messages": [{"role": "user", "content": "What is 3 + 4?"}],
+            "temperature": 0.25, "max_tokens": 64,
+        }).encode()
+        assert prm.request_line == "POST /score HTTP/1.1"
+        assert prm.body == json.dumps({"problem": "What is 3 + 4?", "reasoning": "Step 1: 7"}).encode()
+        names = {"Host", "User-Agent", "Accept-Encoding", "Accept", "Connection", "Content-Type", "Content-Length"}
+        if key is not None:
+            names.add("Authorization")
+        for posted in (chat, prm):
+            assert sorted(posted.headers.keys()) == sorted(names)
+            assert posted.headers["Host"] == f"127.0.0.1:{loopback.port}"
+            assert posted.headers["Content-Type"] == "application/json"
+            assert posted.headers["Content-Length"] == str(len(posted.body))
+            for name in ("User-Agent", "Accept-Encoding", "Accept", "Connection"):
+                assert posted.headers[name] == session.headers[name]
+            if key is not None:
+                assert posted.headers["Authorization"] == "Bearer sk-wire"
+
+
+class TestProxyAndRedirect:
+    """Routing follows the proxy variables as requests reads them; a redirect is not followed."""
+
+    HOST = "qnav-proxy-test.invalid"
+
+    @pytest.fixture
+    def no_dns(self, monkeypatch):
+        """Hosts the client tried to resolve itself; none is looked up for real."""
+        asked = []
+        real = socket.getaddrinfo
+
+        def getaddrinfo(host, *args, **kwargs):
+            if host == self.HOST:
+                asked.append(host)
+                raise socket.gaierror(socket.EAI_NONAME, "not resolved in tests")
+            return real(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        for name in ("HTTP_PROXY", "http_proxy", "NO_PROXY", "no_proxy", "ALL_PROXY", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        return asked
+
+    def chat(self, **cfg):
+        return OpenAIChatBackend(WireConfig(base_url=f"http://{self.HOST}/v1", model="m", **cfg))
+
+    def test_http_proxy_gets_the_absolute_url(self, loopback, monkeypatch, no_dns):
+        monkeypatch.setenv("HTTP_PROXY", loopback.url)
+        loopback.handler = lambda posted: (200, completion_payload("proxied"))
+        assert self.chat().complete(ChatRequest("hi")).text == "proxied"
+        (posted,) = loopback.received
+        assert posted.request_line == f"POST http://{self.HOST}/v1/chat/completions HTTP/1.1"
+        assert posted.headers["Host"] == self.HOST
+        assert no_dns == []
+
+    def test_no_proxy_host_is_reached_directly(self, loopback, monkeypatch, no_dns):
+        monkeypatch.setenv("HTTP_PROXY", loopback.url)
+        monkeypatch.setenv("NO_PROXY", self.HOST)
+        with pytest.raises(GatewayRetryError) as err:
+            self.chat(max_attempts=1).complete(ChatRequest("hi"))
+        assert isinstance(err.value.__cause__, GatewayTransientError)
+        assert loopback.received == []
+        assert no_dns == [self.HOST]
+
+    def test_proxy_variables_are_read_once_per_endpoint(self, loopback, monkeypatch, no_dns):
+        monkeypatch.setenv("HTTP_PROXY", loopback.url)
+        loopback.handler = lambda posted: (200, completion_payload("proxied"))
+        backend = self.chat()
+        monkeypatch.delenv("HTTP_PROXY")
+        assert backend.complete(ChatRequest("hi")).text == "proxied"
+        assert loopback.paths() == [f"http://{self.HOST}/v1/chat/completions"]
+
+    def test_netrc_is_not_read(self, loopback, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.delenv("QNAV_API_KEY", raising=False)
+        loopback.handler = lambda posted: (200, {"score": 0.5})
+        WirePrm(PrmWireConfig(base_url=loopback.url), session=requests.Session()).score("p", "r")
+        assert "Authorization" not in loopback.received[0].headers

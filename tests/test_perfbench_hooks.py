@@ -8,9 +8,9 @@ from each report question before fingerprinting it.
 
 import importlib
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
+import requests
 
 from conftest import standard_rules
 from qnav import evalkit
@@ -59,31 +59,25 @@ def test_report_questions_carry_wall_time(sample_questions):
     assert all("wall_time_s" in q for q in questions)
 
 
-class StubSession:
+def stub_reply(posted):
     """Answers each POST by path as perfbench's stub does: a completion or a score."""
-
-    def __init__(self):
-        self.urls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.urls.append(url)
-        if url.endswith("/chat/completions"):
-            body = {"choices": [{"message": {"content": "The answer is 7."}}],
-                    "usage": {"prompt_tokens": 3, "completion_tokens": 4}}
-        else:
-            body = {"score": 0.75}
-        return SimpleNamespace(status_code=200, json=lambda: body)
+    if posted.path.endswith("/chat/completions"):
+        return 200, {"choices": [{"message": {"content": "The answer is 7."}}],
+                     "usage": {"prompt_tokens": 3, "completion_tokens": 4}}
+    return 200, {"score": 0.75}
 
 
-def test_wire_clients_build_as_the_workloads_do(workloads):
-    # As workloads.Clients builds them: one session given to both, and no cap on the PRM.
-    session = StubSession()
+def test_wire_clients_build_as_the_workloads_do(workloads, loopback):
+    # As workloads.Clients builds them: one plain session given to both, and no cap on the PRM.
+    loopback.handler = stub_reply
+    session = requests.Session()
     chat = OpenAIChatBackend(WireConfig(
-        base_url="http://stub.test/v1", model="stub", backoff_base_s=workloads.BACKOFF_BASE_S, timeout_s=30.0,
+        base_url=loopback.url + "/v1", model="stub", backoff_base_s=workloads.BACKOFF_BASE_S, timeout_s=30.0,
     ), session=session)
     prm = WirePrm(PrmWireConfig(
-        base_url="http://stub.test", backoff_base_s=workloads.BACKOFF_BASE_S, timeout_s=30.0,
+        base_url=loopback.url, backoff_base_s=workloads.BACKOFF_BASE_S, timeout_s=30.0,
     ), session=session)
     assert chat.complete(ChatRequest("What is 3 + 4?")).text == "The answer is 7."
     assert prm.score("What is 3 + 4?", "Step 1: warm-up") == 0.75
-    assert session.urls == ["http://stub.test/v1/chat/completions", "http://stub.test/score"]
+    assert loopback.paths() == ["/v1/chat/completions", "/score"]
+    assert loopback.connections == 1  # both clients POST through the session's one pool for the host

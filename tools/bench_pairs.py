@@ -8,7 +8,8 @@ with --trace 0 for BENCHMARK.json's run_seconds. Pair k runs seed
 SEEDS[k % 3] on both sides, and the side that runs first alternates. The
 summary holds, per end-to-end metric named in BENCHMARK.json, each side's
 median and quartiles (inclusive method), the number of pairs the change won,
-the ratio of the medians, and three verdicts:
+the ratio of the medians (null when the parent's median is 0), and three
+verdicts:
 
 - worse_beyond_bound: the change's median is worse than the parent's by more
   than the metric's bound, as a fraction of the parent's median.
@@ -108,7 +109,7 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "parent": spread(parent),
             "change": spread(change),
             "change_better_pairs": wins,
-            "change_over_parent_median": round(change_median / parent_median, 4),
+            "change_over_parent_median": round(change_median / parent_median, 4) if parent_median else None,
             "worse_beyond_bound": -gain > metric["bound"] * abs(parent_median),
             "gain_shown": 10 * wins >= 9 * len(both) and gain > q3 - q1,
             "unresolved": q3 - q1 > metric["bound"] * abs(parent_median) and not beats_all,
