@@ -112,24 +112,25 @@ class VoteResult:
 
     winner: str  # representative: the first-seen member of the winning class
     tie_broken: bool
+    index: int  # the winner's position in the answers voted on
 
 
 def majority_vote(answers: list[str], kind: DatasetKind, seed: int = 0) -> VoteResult:
     """Largest equivalence class wins; ties break by a seeded uniform choice."""
     if not answers:
         raise ValueError("majority_vote needs at least one answer")
-    reps: list[str] = []
+    firsts: list[int] = []  # each class's first-seen member, by position in answers
     counts: list[int] = []
-    for ans in answers:
-        for i, rep in enumerate(reps):
-            if answers_equivalent(ans, rep, kind):
+    for pos, ans in enumerate(answers):
+        for i, first in enumerate(firsts):
+            if answers_equivalent(ans, answers[first], kind):
                 counts[i] += 1
                 break
         else:
-            reps.append(ans)
+            firsts.append(pos)
             counts.append(1)
     best = max(counts)
-    tied = [rep for rep, c in zip(reps, counts) if c == best]
+    tied = [first for first, c in zip(firsts, counts) if c == best]
     tie_broken = len(tied) > 1
-    winner = tied[0] if not tie_broken else random.Random(seed).choice(tied)
-    return VoteResult(winner=winner, tie_broken=tie_broken)
+    index = tied[0] if not tie_broken else random.Random(seed).choice(tied)
+    return VoteResult(winner=answers[index], tie_broken=tie_broken, index=index)

@@ -313,18 +313,18 @@ def build_chat_backend(cfg: dict) -> ChatBackend:
     raise ConfigError(f"unknown gateway backend {kind!r}")
 
 
-def build_prm_backend(cfg: dict, in_flight: int) -> PrmBackend:
-    """The process reward model a prm config section describes.
+def build_prm_backend(cfg: dict, chat: ChatBackend) -> PrmBackend:
+    """The process reward model a prm config section describes, for episodes over chat.
 
-    in_flight is how many score calls the command may make at once; a wire
-    client pools that many connections.
+    Each of the episodes_in_flight(chat) episodes or trials in flight scores
+    at most once at a time, so a wire client pools that many connections.
     """
     kind = cfg.get("backend", "scripted")
     fields = {k: v for k, v in cfg.items() if k != "backend"}
     if kind == "scripted":
         return _from_section(ScriptedPrm, fields, "prm")
     if kind == "wire":
-        return WirePrm(_from_section(PrmWireConfig, fields, "prm"), pooled_session(in_flight))
+        return WirePrm(_from_section(PrmWireConfig, fields, "prm"), pooled_session(episodes_in_flight(chat)))
     raise ConfigError(f"unknown prm backend {kind!r}")
 
 
@@ -370,8 +370,7 @@ def cmd_train(args) -> int:
     hard_path = settings["hard_set"]
     out = _out_dir(settings, seed)
     chat = build_chat_backend(sections["gateway"])
-    # Each episode in flight scores with the PRM at most once at a time.
-    prm = build_prm_backend(sections["prm"], episodes_in_flight(chat))
+    prm = build_prm_backend(sections["prm"], chat)
     env_cfg = _from_section(EnvConfig, sections["env"], "env")
     trainer_cfg = _from_section(dqn.TrainerConfig, sections["trainer"], "trainer", seed=seed)
 
@@ -423,8 +422,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"trials: need at least one, got {trials}")
     out = _out_dir(settings, seed)
     chat = build_chat_backend(sections["gateway"])
-    # Each trial in flight scores with the PRM at most once at a time.
-    prm = build_prm_backend(sections["prm"], episodes_in_flight(chat))
+    prm = build_prm_backend(sections["prm"], chat)
     env_cfg = _from_section(EnvConfig, sections["env"], "env")
 
     if policy_name not in POLICIES:

@@ -101,9 +101,7 @@ class StepOutcome:
     state: StateVector
     reward: float
     done: bool
-    action: ActionKind
-    executed: ActionKind  # differs from action only for Refine remapped at step 0
-    appended: str
+    executed: ActionKind  # the requested action, except Refine at step 0 runs as ReasonOneStep
     transcript: tuple[SubCall, ...]
 
 
@@ -274,9 +272,7 @@ def step(
         state=next_state,
         reward=reward,
         done=done,
-        action=action,
         executed=executed,
-        appended=text,
         transcript=tuple(pipe.calls),
     )
 
@@ -321,7 +317,7 @@ class ReasoningEpisode:
     def _record(self, calls: tuple[SubCall, ...]) -> None:
         if self.usage_log is not None:
             for call in calls:
-                self.usage_log.record(call.exchange, self.question_id or None)
+                self.usage_log.record(call.exchange)
 
     def reset(self) -> StateVector:
         try:
@@ -364,7 +360,7 @@ class ReasoningEpisode:
         self.actions.append(action)
         self.ctx, self.state = outcome.ctx, outcome.state
         if outcome.done:
-            self.final_text = outcome.appended
+            self.final_text = outcome.ctx.steps[-1]
         return outcome.state, outcome.reward, outcome.done
 
     @property

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 
-from .answers import VoteResult, answers_equivalent, extract_answer, majority_vote
+from .answers import answers_equivalent, extract_answer, majority_vote
 from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, atomic_write, encode_state
 from .dqn import masked_argmax
 from .env import EnvConfig, ReasoningEpisode, episodes_in_flight
@@ -173,7 +173,7 @@ def mine_hard(
             undetermined.append(record.id)
             continue
         if usage_log is not None:
-            usage_log.record(exchange, record.id)
+            usage_log.record(exchange)
         extracted = extract_answer(exchange.text, record.kind)
         if extracted is None or not answers_equivalent(extracted, record.answer, record.kind):
             hard.append(record)
@@ -325,9 +325,10 @@ def evaluate(
     index, trial). A question's wall_time_s runs from its first trial's
     start to its last trial's end, so it includes time its trials waited for
     a chat slot; offline=True zeroes it so fully scripted runs produce
-    byte-identical reports.
+    byte-identical reports. Each question's trials record their tokens in
+    that question's own UsageLog; the run's usage is the sum over questions.
     """
-    usage_log = UsageLog()
+    usage_logs = [UsageLog() for _ in dataset]
 
     def run_trial(job: tuple[int, int]) -> _TrialOutcome:
         index, trial = job
@@ -340,7 +341,7 @@ def evaluate(
             prm=prm,
             cfg=cfg.env,
             question_id=record.id,
-            usage_log=usage_log,
+            usage_log=usage_logs[index],
             navigate_only=True,
         )
         try:
@@ -357,34 +358,23 @@ def evaluate(
     n_correct = 0
     for index, record in enumerate(dataset):
         trials = outcomes[index * cfg.trials:(index + 1) * cfg.trials]
-        answers = [t.answer for t in trials]
-        action_names = [t.actions for t in trials]
-        voted: VoteResult | None = None
-        usable = [a for a in answers if a is not None]
-        if usable:
-            voted = majority_vote(usable, record.kind, seed=cfg.seed + index)
-        winner = voted.winner if voted is not None else None
+        answered = [t for t in trials if t.answer is not None]
+        voted = majority_vote([t.answer for t in answered], record.kind, seed=cfg.seed + index) if answered else None
+        if voted is not None:
+            winner, actions = voted.winner, answered[voted.index].actions
+        else:  # no answer to vote on: the actions of the first trial that acted
+            winner, actions = None, next((t.actions for t in trials if t.actions), ())
         correct = winner is not None and answers_equivalent(winner, record.answer, record.kind)
         n_correct += int(correct)
-        winning_actions: tuple[str, ...] = ()
-        for ans, acts in zip(answers, action_names):
-            if winner is not None and ans is not None and answers_equivalent(ans, winner, record.kind):
-                winning_actions = acts
-                break
-        else:
-            for acts in action_names:
-                if acts:
-                    winning_actions = acts
-                    break
-        q_usage = usage_log.totals_for(record.id)
+        q_usage = usage_logs[index].totals()
         wall_time_s = max(t.ended for t in trials) - min(t.started for t in trials)
         results.append(
             QuestionResult(
                 id=record.id,
                 final_answer=winner,
                 correct=correct,
-                actions=winning_actions,
-                trial_answers=tuple(answers),
+                actions=actions,
+                trial_answers=tuple(t.answer for t in trials),
                 tie_broken=voted.tie_broken if voted is not None else False,
                 input_tokens=q_usage.input_tokens,
                 output_tokens=q_usage.output_tokens,
@@ -395,6 +385,6 @@ def evaluate(
         results=tuple(results),
         correct=n_correct,
         total=len(dataset),
-        usage=usage_log.totals(),
+        usage=sum((question_log.totals() for question_log in usage_logs), Usage()),
         failed_trials=sum(t.failed for t in outcomes),
     )

@@ -401,21 +401,17 @@ def score_process(prm: PrmBackend, problem: str, reasoning: str) -> float:
 
 
 class UsageLog:
-    """Thread-safe token accounting, per question and per run."""
+    """Thread-safe token accounting: the calls and tokens of whatever records into it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._total = Usage()
-        self._by_question: dict[str, Usage] = {}
         self._calls = 0
 
-    def record(self, exchange: ChatExchange, question_id: str | None = None) -> None:
+    def record(self, exchange: ChatExchange) -> None:
         with self._lock:
             self._total = self._total + exchange.usage
             self._calls += 1
-            if question_id is not None:
-                seen = self._by_question.get(question_id, Usage())
-                self._by_question[question_id] = seen + exchange.usage
 
     @property
     def calls(self) -> int:
@@ -425,6 +421,3 @@ class UsageLog:
         with self._lock:
             return self._total
 
-    def totals_for(self, question_id: str) -> Usage:
-        with self._lock:
-            return self._by_question.get(question_id, Usage())

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnav.answers import answers_equivalent, extract_answer, majority_vote
 from qnav.core import DatasetKind
@@ -149,7 +151,32 @@ class TestEquivalence:
         assert not answers_equivalent("yes", "no", YESNO)
 
 
+# Answer spellings per kind, grouped into equivalence classes.
+VOTE_POOLS = {
+    NUM: [["7", "7.0", "07", "14/2"], ["8"], ["1/2", "0.5"], ["-3", "-3.0"]],
+    MATH: [["\\frac{1}{2}", "1/2", "0.5"], ["\\frac{3}{4}", "0.75"], ["x+1"]],
+    CHOICE: [["A", "a"], ["B", "b"], ["C"]],
+    YESNO: [["yes", "YES", "Yes"], ["no", "NO"]],
+}
+
+
+@st.composite
+def vote_inputs(draw):
+    """(answers, kind, seed): 1-9 answers drawn from a few classes, so repeats and ties are common."""
+    kind = draw(st.sampled_from(sorted(VOTE_POOLS, key=lambda k: k.value)))
+    spellings = [s for pool in VOTE_POOLS[kind] for s in pool]
+    answers = draw(st.lists(st.sampled_from(spellings), min_size=1, max_size=9))
+    return answers, kind, draw(st.integers(0, 2**32 - 1))
+
+
 class TestMajorityVote:
+    @given(vote_inputs())
+    def test_index_names_the_winners_first_position(self, inputs):
+        answers, kind, seed = inputs
+        v = majority_vote(answers, kind, seed=seed)
+        assert answers[v.index] == v.winner
+        assert answers.index(v.winner) == v.index
+
     def test_clear_majority(self):
         result = majority_vote(["7", "7", "8"], NUM)
         assert result.winner == "7"

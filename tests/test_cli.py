@@ -234,7 +234,7 @@ class TestConfigHandling:
                 "max_attempts": 5,
                 "backoff_base_s": 0.01,
             },
-            in_flight=1,
+            chat=gateway.ScriptedChatBackend(),
         )
         assert isinstance(prm, gateway.WirePrm)
         assert prm._endpoint.cfg.max_attempts == 5
@@ -242,7 +242,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("build, section", [
         (cli.build_chat_backend, {"backend": "openai", "base_url": "http://localhost:9", "model": "m"}),
-        (functools.partial(cli.build_prm_backend, in_flight=1),
+        (functools.partial(cli.build_prm_backend, chat=gateway.ScriptedChatBackend()),
          {"backend": "wire", "base_url": "http://localhost:9"}),
     ], ids=["gateway", "prm"])
     @pytest.mark.parametrize("bad", [

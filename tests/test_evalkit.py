@@ -32,6 +32,7 @@ from qnav.gateway import (
     ScriptedChatBackend,
     ScriptedPrm,
     ScriptedRule,
+    Usage,
     UsageLog,
     WireConfig,
 )
@@ -154,13 +155,14 @@ class TestMineHard:
         assert result.undetermined == ("down",)
         assert result.proportion == 1.0  # of the single determined question
 
-    def test_usage_log_tagged_by_question(self):
+    def test_usage_log_records_each_answered_call(self):
         dataset = [record("q1", "first question", "1")]
         chat = ScriptedChatBackend([ScriptedRule("first", "The answer is 2.")])
         logbook = UsageLog()
         mine_hard(dataset, chat, usage_log=logbook)
         assert logbook.calls == 1
-        assert logbook.totals_for("q1").output_tokens > 0
+        assert logbook.totals() == chat.call_log[0].usage
+        assert logbook.totals().output_tokens > 0
 
     def test_mining_prompt_wording(self):
         dataset = [record("q1", "Count to three.", "3")]
@@ -373,6 +375,27 @@ class TestEvaluate:
         assert q.actions == ("DECOMPOSE", "REASON_ONE_STEP", "REFINE", "TERMINATE")
         assert report.failed_trials == 1
 
+    def test_actions_come_from_the_trial_whose_answer_won(self):
+        # Trial 0 extracts no answer, trial 1 answers 8, trials 2 and 3 answer 7:
+        # 7 wins, first given by trial 2, which took Debate.
+        class ScriptPerTrial(FixedSequencePolicy):
+            SCRIPTS = ((), (R,), (DEB,), (DEC,))
+
+            def for_trial(self, question_index, trial):
+                policy = FixedSequencePolicy()
+                policy.SCRIPT = self.SCRIPTS[trial]
+                return policy
+
+        rules = [r for r in standard_rules() if "numerical_answer" not in r.contains]
+        endings = ["no comment", "The answer is 8.", "The answer is 7.", "The answer is 7."]
+        rules.append(ScriptedRule("The answer is numerical_answer", endings))
+        report = self.run([record("q1", "What is 3 + 4?", "7")], ScriptedChatBackend(rules), trials=4,
+                          policy=ScriptPerTrial())
+        q = report.results[0]
+        assert q.trial_answers == (None, "8", "7", "7")
+        assert q.final_answer == "7"
+        assert q.actions == ("DEBATE", "TERMINATE")
+
     def test_vote_seed_offsets_by_question_index(self):
         # two questions tying 1-1; identical candidates but different vote
         # seeds, derived from cfg.seed + index
@@ -460,6 +483,19 @@ class TestConcurrentEvalAndMining:
         doc = json.loads(payloads[0])
         assert [q["id"] for q in doc["questions"]] == [r.id for r in CONCURRENT_DATASET]
         assert doc["questions"][2]["trial_answers"] == [None, None, None]
+
+    def test_each_question_counts_only_its_own_tokens(self, fast_thread_switching):
+        def run(dataset, workers):
+            chat = PooledScriptedChat(yes_no_unanswerable_rules(), max_in_flight=workers)
+            return evaluate(FixedSequencePolicy(), dataset, chat, ScriptedPrm(), EvalConfig(trials=3), offline=True)
+
+        together = run(CONCURRENT_DATASET, 4)
+        for result, question in zip(together.results, CONCURRENT_DATASET):
+            alone = run([question], 1)
+            assert (result.input_tokens, result.output_tokens) == (alone.usage.input_tokens, alone.usage.output_tokens)
+        assert together.usage == Usage(sum(r.input_tokens for r in together.results),
+                                       sum(r.output_tokens for r in together.results))
+        assert len({r.input_tokens for r in together.results}) > 1  # the questions' counts differ
 
     def test_mining_result_is_identical_at_one_and_four_workers(self, fast_thread_switching):
         dataset = [record(f"m{i}", f"What is {i} + {i}?", str(2 * i)) for i in range(12)]

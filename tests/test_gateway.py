@@ -434,14 +434,12 @@ class TestUsageLog:
 
     def test_totals_accumulate(self):
         logbook = UsageLog()
-        logbook.record(self.exchange(3, 2), question_id="a")
-        logbook.record(self.exchange(5, 1), question_id="a")
-        logbook.record(self.exchange(2, 2), question_id="b")
+        assert logbook.totals() == Usage(0, 0)
+        logbook.record(self.exchange(3, 2))
+        logbook.record(self.exchange(5, 1))
+        logbook.record(self.exchange(2, 2))
         assert logbook.calls == 3
         assert logbook.totals() == Usage(input_tokens=10, output_tokens=5)
-        assert logbook.totals_for("a") == Usage(input_tokens=8, output_tokens=3)
-        assert logbook.totals_for("b") == Usage(input_tokens=2, output_tokens=2)
-        assert logbook.totals_for("missing") == Usage(0, 0)
 
     def test_concurrent_records_sum_exactly(self):
         logbook = UsageLog()
@@ -449,7 +447,7 @@ class TestUsageLog:
 
         def worker():
             for _ in range(200):
-                logbook.record(ex, question_id="q")
+                logbook.record(ex)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
