@@ -20,6 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
+from urllib.parse import urlsplit
 
 import requests
 import urllib3
@@ -107,6 +108,16 @@ def pooled_session(size: int) -> requests.Session:
     return session
 
 
+def _is_http_url(url: str) -> bool:
+    """Whether url is an http:// or https:// URL with a host, and with a port in 0-65535 if it names one."""
+    parts = urlsplit(url)
+    try:
+        parts.port  # noqa: B018 - raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 @dataclass(frozen=True, kw_only=True)
 class EndpointConfig:
     """Where and how to reach a wire endpoint, and its retry policy.
@@ -123,6 +134,8 @@ class EndpointConfig:
     backoff_base_s: float = 0.5
 
     def __post_init__(self) -> None:
+        if not _is_http_url(self.base_url):
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.max_attempts < 1:
@@ -153,8 +166,8 @@ class WireEndpoint:
     (the path, or the absolute URL behind an HTTP proxy). Each POST then goes
     straight to that pool. The session owns the pool, so closing the session
     closes its connections. Proxy variables are read once, here; the
-    session's auth, cookies and ~/.netrc are not used. A base_url that does
-    not parse raises requests' own error here.
+    session's auth, cookies and ~/.netrc are not used. EndpointConfig has
+    already rejected a base_url that does not parse.
     """
 
     # What requests raises as Timeout or ConnectionError; urllib3's

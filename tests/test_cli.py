@@ -516,6 +516,32 @@ class TestRejectedCredentials:
         assert not out.exists()
 
 
+class TestUnparseableBaseUrl:
+    """A gateway.base_url or a wire prm.base_url that does not parse is a
+    config error naming the key, before any artifact is written."""
+
+    WIRE = {"gateway": {"backend": "openai", "model": "m"}, "prm": {"backend": "wire"}}
+
+    @pytest.mark.parametrize("argv, name, base_url", [
+        (["mine-hard"], "gateway", "unit.test/v1"),
+        (["train", "--episodes", "3"], "gateway", "http://"),
+        (["eval", "--policy", "fixed-sequence"], "gateway", "htp://x/v1"),
+        (["train", "--episodes", "3"], "prm", "nope"),
+        (["eval", "--policy", "fixed-sequence"], "prm", "http:///v1"),
+    ], ids=["mine-hard-gateway", "train-gateway", "eval-gateway", "train-prm", "eval-prm"])
+    def test_exits_with_the_config_code_and_writes_nothing(self, tmp_path, capsys, argv, name, base_url):
+        cfg = write_config(tmp_path, scripted_config(**{name: {**self.WIRE[name], "base_url": base_url}}))
+        data = write_dataset(tmp_path, [numeric_question("q1", "7")])
+        data_flag = "--hard-set" if argv[0] == "train" else "--dataset"
+        out = tmp_path / "o"
+        code = cli.main([*argv, "--config", cfg, data_flag, data, "--out-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}: base_url must be an http:// or https:// URL with a host")
+        assert repr(base_url) in err
+        assert not out.exists()
+
+
 class TestNothingDone:
     """A run in which every chat call failed exits 4 and keeps its other
     artifacts as the evidence; a run with some success still exits 0."""

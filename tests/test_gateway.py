@@ -172,14 +172,16 @@ class TestCallWithRetries:
                 endpoint.post("/x", {})
             assert len(server.calls) == 1
 
-    @pytest.mark.parametrize("base_url, error", [
-        ("unit.test/v1", requests.exceptions.MissingSchema),
-        ("localhost:9/v1", requests.exceptions.InvalidSchema),
-        ("http:///v1", requests.exceptions.InvalidURL),
-    ], ids=["no-scheme", "host-as-scheme", "no-host"])
-    def test_unparseable_url_fails_at_construction(self, base_url, error):
-        with pytest.raises(error):
-            self.make([], max_attempts=3, base_url=base_url)
+    @pytest.mark.parametrize("base_url", [
+        "unit.test/v1", "localhost:9/v1", "http:///v1", "http://", "htp://x/v1", "nope", "http://x:abc/v1",
+        "http://x:99999/v1",
+    ], ids=["no-scheme", "host-as-scheme", "no-host", "scheme-only", "misspelt-scheme", "bare-word",
+            "port-not-a-number", "port-out-of-range"])
+    def test_unparseable_url_fails_at_construction(self, base_url):
+        # The config rejects it, so no endpoint is ever built from it.
+        for make_cfg in (lambda: WireConfig(base_url=base_url, model="m"), lambda: PrmWireConfig(base_url=base_url)):
+            with pytest.raises(ValueError, match="base_url must be an http:// or https:// URL with a host"):
+                make_cfg()
 
 
 class WireTransportCases:
