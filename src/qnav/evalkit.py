@@ -280,7 +280,8 @@ class QuestionResult:
     final_answer: str | None
     correct: bool
     actions: tuple[str, ...]  # action names of the trial that produced the winner
-    trial_answers: tuple[str | None, ...]
+    trial_answers: tuple[str | None, ...]  # None where a trial failed or extracted nothing
+    failed_trials: int  # trials that ended in EpisodeFailure
     tie_broken: bool
     input_tokens: int
     output_tokens: int
@@ -293,11 +294,14 @@ class RunReport:
     correct: int
     total: int
     usage: Usage
-    failed_trials: int  # trials that ended in EpisodeFailure; not written to report.json
 
     @property
     def accuracy(self) -> float:
         return self.correct / self.total if self.total else 0.0
+
+    @property
+    def failed_trials(self) -> int:
+        return sum(r.failed_trials for r in self.results)
 
     def to_jsonable(self) -> dict:
         return {
@@ -375,6 +379,7 @@ def evaluate(
                 correct=correct,
                 actions=actions,
                 trial_answers=tuple(t.answer for t in trials),
+                failed_trials=sum(t.failed for t in trials),
                 tie_broken=voted.tie_broken if voted is not None else False,
                 input_tokens=q_usage.input_tokens,
                 output_tokens=q_usage.output_tokens,
@@ -386,5 +391,4 @@ def evaluate(
         correct=n_correct,
         total=len(dataset),
         usage=sum((question_log.totals() for question_log in usage_logs), Usage()),
-        failed_trials=sum(t.failed for t in outcomes),
     )

@@ -594,7 +594,8 @@ class TestNothingDone:
         assert len(err) == 1 and err[0].startswith("gateway error: all 4 trials failed")
         report = json.loads((out / "report.json").read_text())
         assert report["correct"] == 0 and report["total"] == 2
-        assert "failed_trials" not in report
+        assert "failed_trials" not in report  # counted per question only
+        assert [q["failed_trials"] for q in report["questions"]] == [2, 2]
         assert (out / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("answered, code", [((), cli.EXIT_GATEWAY), (("3 + 4",), cli.EXIT_OK)],
@@ -1001,11 +1002,11 @@ class TestGoldenArtifacts:
     )
 
     DIGESTS = {
-        "eval-fixed/report.json": "189584786e0f1350b13222eb11213fd3f106dd351d5647f7ecb7e792893f7049",
+        "eval-fixed/report.json": "22f77b2cba0fa4319d2fe2731650d2fb804d159a2affcdbd30412b5220c6cf80",
         "eval-fixed/resolved_config.json": "dbeee6a5aa338139d253197270b242671d389b129a306d63e8abc1bd160c032b",
-        "eval-nav/report.json": "8beca1095d8abb00cbaf9330bb300a529b9928aae2977d0d1f8b1e21f5c700b0",
+        "eval-nav/report.json": "2964a260b97990e9563884c17d1db412a59a7f5723847f8346592cd6e8f861b9",
         "eval-nav/resolved_config.json": "d4ac6b4a821ac4c7ea120e2c656b7aa81daafc8bb0548fbbfa0b9f80ca66c3ee",
-        "eval-random/report.json": "f1b39cd0063106d5a373fb15e4e452ad83a982a14f04165c91c9c26fad015b69",
+        "eval-random/report.json": "2818b7b2a3a8cb521580c48073808d85aad4d9399c67b55654bc8e2454ae2845",
         "eval-random/resolved_config.json": "91e8db65e54ac782cf54dfa1a8dcbfafcdff4c77a8e558c50174064831fc84d6",
         "mine/hard_set.jsonl": "85b2bdbc6f9bb273736aab1f522935660010ccedf6440198ab3c4d03f7109188",
         "mine/mining_summary.json": "6a7344f59a465edea63067b6621f2d6bb878baeac02a9788238494c38f49b874",

@@ -396,6 +396,19 @@ class TestEvaluate:
         assert q.final_answer == "7"
         assert q.actions == ("DEBATE", "TERMINATE")
 
+    def test_a_failed_trial_is_counted_apart_from_one_without_an_answer(self):
+        # Trial 0 fails at its first self-evaluation; trial 1 terminates with
+        # no answer marker; trial 2 answers.
+        rules = [ScriptedRule("Please evaluate the current step", EVAL_RESPONSE, fail_times=1)]
+        rules += [r for r in standard_rules() if r.contains not in (rules[0].contains, "The answer is numerical_answer")]
+        rules.append(ScriptedRule("The answer is numerical_answer", ["no comment", "The answer is 7."]))
+        report = self.run([record("q1", "What is 3 + 4?", "7")], ScriptedChatBackend(rules))
+        q = report.results[0]
+        assert q.trial_answers == (None, None, "7")
+        assert q.failed_trials == 1
+        assert report.failed_trials == 1
+        assert q.final_answer == "7" and q.correct
+
     def test_vote_seed_offsets_by_question_index(self):
         # two questions tying 1-1; identical candidates but different vote
         # seeds, derived from cfg.seed + index
@@ -443,6 +456,7 @@ class TestEvaluate:
             "correct",
             "actions",
             "trial_answers",
+            "failed_trials",
             "tie_broken",
             "input_tokens",
             "output_tokens",
