@@ -433,4 +433,3 @@ class UsageLog:
     def totals(self) -> Usage:
         with self._lock:
             return self._total
-
