@@ -414,7 +414,7 @@ def score_process(prm: PrmBackend, problem: str, reasoning: str) -> float:
 
 
 class UsageLog:
-    """Thread-safe token accounting: the calls and tokens of whatever records into it."""
+    """Thread-safe count of the calls and tokens recorded into it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -199,6 +199,14 @@ def dataset_path(tmp_path, sample_questions):
 DROP = object()  # a handler result: close the connection without replying
 
 
+def completion(text="hello", prompt_tokens=12, completion_tokens=5):
+    """A chat-completions reply body: text as the message, with a usage block."""
+    return {
+        "choices": [{"message": {"content": text}}],
+        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
+    }
+
+
 @dataclass(frozen=True)
 class Posted:
     """One request the loopback endpoint received."""
@@ -219,13 +227,16 @@ class Loopback:
     where a str body is sent as is and anything else as JSON. It runs
     on the server's connection threads, so a handler with state locks it.
     received lists every request in arrival order; connections counts the
-    connections accepted.
+    connections accepted; active counts the POSTs whose handler is running,
+    and peak is the most seen at once.
     """
 
     def __init__(self):
         self.handler = lambda posted: (200, {})
         self.received = []
         self.connections = 0
+        self.active = 0
+        self.peak = 0
         self._lock = threading.Lock()
         self._sockets = []
         loopback = self
@@ -242,7 +253,13 @@ class Loopback:
                 posted = Posted(self.requestline, self.path, self.headers, body)
                 with loopback._lock:
                     loopback.received.append(posted)
-                reply = loopback.handler(posted)
+                    loopback.active += 1
+                    loopback.peak = max(loopback.peak, loopback.active)
+                try:
+                    reply = loopback.handler(posted)
+                finally:
+                    with loopback._lock:
+                        loopback.active -= 1
                 if reply is DROP:
                     self.close_connection = True
                     return

@@ -1,10 +1,12 @@
-"""The verdicts of tools/bench_pairs.py: summarise and failed_share.
+"""The verdicts of tools/bench_pairs.py: summarise and failed_share, and
+how a failed run reaches them: run_side and main's exit code.
 
 Each benchmark comparison between a parent commit and a change rests on
-these two functions, so their rules are pinned here on hand-made pairs.
+these functions, so their rules are pinned here on hand-made pairs.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -130,3 +132,37 @@ def test_failed_share_pools_operations_over_runs(bench_pairs):
 def test_failed_share_of_no_operations_is_zero(bench_pairs):
     pairs = [{"parent": side({}, attempted=0, failed=0), "change": side({}, attempted=0, failed=0)}]
     assert bench_pairs.failed_share(pairs, "parent") == 0.0
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback: not a result\n"], ids=["silent", "junk"])
+def test_run_side_counts_a_run_without_a_result_line_as_failed_checks(bench_pairs, tmp_path, capsys, stdout):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"import sys\nsys.stdout.write({stdout!r})\nprint('run.py gave up', file=sys.stderr)\nsys.exit(1)\n")
+    result = bench_pairs.run_side(tmp_path, "eval_llm", seed=0, seconds=0.1)
+    assert result["correct"] is False
+    assert result["exit_code"] == 1
+    assert (result["attempted"], result["failed"], result["metrics"]) == (0, 0, {})
+    assert "run.py gave up" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing_run, code", [(None, 0), (3, 1)], ids=["all-passed", "one-failed"])
+def test_main_exits_1_when_any_run_failed_its_checks(bench_pairs, tmp_path, monkeypatch, failing_run, code):
+    # No git and no perfbench: the parent export, the runs and the commit ids are stand-ins.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [HIGHER]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "src_tree_id", lambda scratch: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, into: into / commit)
+    runs = []
+
+    def run_side(tree, workload, seed, seconds):
+        runs.append((tree, workload, seed, seconds))
+        return {"correct": len(runs) != failing_run, "attempted": 10, "failed": 0,
+                "metrics": {"ops_per_s": {"value": 100.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    assert bench_pairs.main(["--workload", "w", "--parent", "p", "--pairs", "2"]) == code
+    assert len(runs) == 4
+    doc = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert doc["all_checks_passed"] is (failing_run is None)

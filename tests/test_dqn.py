@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PooledScriptedChat, batch_of, standard_rules
+from conftest import PooledScriptedChat, batch_of, completion, standard_rules
 from qnav import dqn
 from qnav.core import ActionKind, EpisodeFailure, StateVector, Transition, encode_state
 from qnav.dqn import (
@@ -491,36 +491,19 @@ def train_workers():
     return [t for t in threading.enumerate() if t.name.startswith("qnav-train")]
 
 
-def _completion(exchange):
-    return 200, {
-        "choices": [{"message": {"content": exchange.text}}],
-        "usage": {"prompt_tokens": exchange.usage.input_tokens, "completion_tokens": exchange.usage.output_tokens},
-    }
-
-
 class ScriptedEndpoint:
     """Makes the loopback endpoint serve OpenAIChatBackend: each POST pauses
-    briefly, then answers from the standard scripted rules; peak is the most
-    POSTs seen at once."""
+    briefly, then answers from the standard scripted rules."""
 
     def __init__(self, loopback):
         self.url = loopback.url
         self.rules = ScriptedChatBackend(standard_rules())
-        self.lock = threading.Lock()
-        self.active = 0
-        self.peak = 0
         loopback.handler = self.answer
 
     def answer(self, posted):
-        with self.lock:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            time.sleep(0.002)
-            return _completion(self.rules.complete(ChatRequest(posted.json()["messages"][0]["content"])))
-        finally:
-            with self.lock:
-                self.active -= 1
+        time.sleep(0.002)
+        exchange = self.rules.complete(ChatRequest(posted.json()["messages"][0]["content"]))
+        return 200, completion(exchange.text, exchange.usage.input_tokens, exchange.usage.output_tokens)
 
 
 def in_flight_at_cap(cap):
@@ -656,6 +639,7 @@ class TestEpisodesInFlight:
 
         def train():
             server = ScriptedEndpoint(loopback)
+            loopback.peak = 0  # this run's own peak
             chat = OpenAIChatBackend(WireConfig(base_url=server.url + "/v1", model="m", max_in_flight=2))
             prm = ScriptedPrm(rules=[("Step 2", 0.8), ("Step 1", 0.3)], default=0.6)
 
@@ -664,7 +648,7 @@ class TestEpisodesInFlight:
                 return ReasoningEpisode(record.question, record.kind, chat, prm, question_id=record.id)
 
             net, stats = run_training(factory, self.cfg(episodes=16))
-            assert server.peak == 2  # both chat slots busy at once, never a third POST
+            assert loopback.peak == 2  # both chat slots busy at once, never a third POST
             return save_checkpoint(net, seed=1, episodes=16), stats_table(stats)
 
         assert train() == train()

@@ -193,7 +193,6 @@ class TestDecompose:
     def test_only_summary_enters_context(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEC, chat, prm)
-        assert out.ctx.steps[-1] == "The sum of 3 and 4 is 7."
         assert out.ctx.steps == ("The sum of 3 and 4 is 7.",)
         assert all("Subtask result" not in s for s in out.ctx.steps)
 
@@ -257,7 +256,6 @@ class TestDebate:
     def test_only_final_reasoning_enters_context(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, DEB, chat, prm)
-        assert out.ctx.steps[-1] == "Counting up from 3 by 4 gives 7."
         assert out.ctx.steps == ("Counting up from 3 by 4 gives 7.",)
 
     def test_chosen_plan_feeds_execution(self, chat, prm):

@@ -38,7 +38,7 @@ from qnav.gateway import (
 )
 from qnav.net import DuelingNet
 
-from conftest import EVAL_RESPONSE, PooledScriptedChat, standard_rules
+from conftest import EVAL_RESPONSE, PooledScriptedChat, completion, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -603,79 +603,42 @@ class TestConcurrentEvalAndMining:
         assert self.terminated(chat) == len(first)
 
 
-def _reply(content="The answer is 2."):
-    return 200, {
-        "choices": [{"message": {"content": content}}],
-        "usage": {"prompt_tokens": 3, "completion_tokens": 4},
-    }
+def rendezvous(slots):
+    """A loopback handler holding POSTs until `slots` of them are in flight at once, then answering them together."""
+    meet = threading.Barrier(slots, timeout=10)
 
+    def answer(posted):
+        meet.wait()
+        return 200, completion("The answer is 2.", 3, 4)
 
-class RendezvousEndpoint:
-    """Makes the loopback endpoint hold POSTs until `slots` of them are in
-    flight at once, then answer them together; peak is the most seen at once."""
-
-    def __init__(self, loopback, slots):
-        self.url = loopback.url
-        self.meet = threading.Barrier(slots, timeout=10)
-        self.active = 0
-        self.peak = 0
-        self._count = threading.Lock()
-        loopback.handler = self.answer
-
-    def answer(self, posted):
-        with self._count:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            self.meet.wait()
-        finally:
-            with self._count:
-                self.active -= 1
-        return _reply()
+    return answer
 
 
 def test_wire_backend_never_exceeds_its_in_flight_cap_under_mining(loopback):
     # Two mining runs share one backend: four pool threads compete for two slots.
-    server = RendezvousEndpoint(loopback, slots=2)
-    chat = OpenAIChatBackend(WireConfig(base_url=server.url + "/v1", model="m", max_in_flight=2))
+    loopback.handler = rendezvous(slots=2)
+    chat = OpenAIChatBackend(WireConfig(base_url=loopback.url + "/v1", model="m", max_in_flight=2))
     runs = [[record(f"{tag}{i}", f"What is 1 + 1? ({tag}{i})", "2") for i in range(6)] for tag in "ab"]
     with ThreadPoolExecutor(max_workers=2) as outer:
         results = [f.result(timeout=30) for f in [outer.submit(mine_hard, run, chat) for run in runs]]
-    assert server.peak == 2
+    assert loopback.peak == 2
     assert all(r.hard == () and r.undetermined == () for r in results)
 
 
-class ScriptedEndpoint:
-    """Makes the loopback endpoint answer chat POSTs: each pauses briefly,
-    then answers from standard_rules; peak is the most POSTs seen in flight
-    at once."""
+STANDARD_RULES = standard_rules()
 
-    RULES = standard_rules()
 
-    def __init__(self, loopback):
-        self.url = loopback.url
-        self.active = 0
-        self.peak = 0
-        self._count = threading.Lock()
-        loopback.handler = self.answer
-
-    def answer(self, posted):
-        with self._count:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            time.sleep(0.002)
-        finally:
-            with self._count:
-                self.active -= 1
-        prompt = posted.json()["messages"][0]["content"]
-        return _reply(next(r.response for r in self.RULES if r.contains in prompt))
+def scripted_reply(posted):
+    """A loopback handler answering each chat POST from standard_rules after a brief pause."""
+    time.sleep(0.002)
+    prompt = posted.json()["messages"][0]["content"]
+    return 200, completion(next(r.response for r in STANDARD_RULES if r.contains in prompt), 3, 4)
 
 
 def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval(loopback):
     # A cap of 2 runs 3 * 2 - 2 = 4 trials at once: four threads compete for two slots.
-    server = ScriptedEndpoint(loopback)
-    chat = OpenAIChatBackend(WireConfig(base_url=server.url + "/v1", model="m", max_in_flight=2))
+    loopback.handler = scripted_reply
+    chat = OpenAIChatBackend(WireConfig(base_url=loopback.url + "/v1", model="m", max_in_flight=2))
     threads = set()  # the client threads that called the backend
     complete = chat.complete
 
@@ -688,4 +651,4 @@ def test_wire_backend_never_exceeds_its_in_flight_cap_under_eval(loopback):
     report = evaluate(FixedSequencePolicy(), dataset, chat, ScriptedPrm(), EvalConfig(trials=3))
     assert report.correct == 3
     assert len(threads) == 4
-    assert server.peak == 2
+    assert loopback.peak == 2

@@ -14,7 +14,7 @@ import pytest
 import requests
 from urllib3.exceptions import NewConnectionError, ProtocolError
 
-from conftest import DROP
+from conftest import DROP, completion
 
 from qnav.gateway import (
     ChatRequest,
@@ -73,13 +73,6 @@ class ScriptedEndpoint:
     @property
     def calls(self):
         return [{"url": self.url + p.path, "json": p.json(), "headers": p.headers} for p in self.loopback.received]
-
-
-def completion_payload(text="hello", prompt_tokens=12, completion_tokens=5):
-    return {
-        "choices": [{"message": {"content": text}}],
-        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
-    }
 
 
 class TestScriptedBackend:
@@ -272,7 +265,7 @@ class TestOpenAIChatBackend(WireTransportCases):
         return OpenAIChatBackend(cfg, session=requests.Session(), sleep=sleep), server
 
     def ok(self, value):
-        return FakeResponse(200, completion_payload(str(value)))
+        return FakeResponse(200, completion(str(value)))
 
     def call(self, backend):
         return float(backend.complete(ChatRequest("hi")).text)
@@ -295,7 +288,7 @@ class TestOpenAIChatBackend(WireTransportCases):
         assert session.adapters == adapters
 
     def test_parses_completion_and_usage(self):
-        backend, server = self.make([FakeResponse(200, completion_payload("out"))])
+        backend, server = self.make([FakeResponse(200, completion("out"))])
         ex = backend.complete(ChatRequest("hi", temperature=0.3, max_output_tokens=77))
         assert ex.text == "out"
         assert ex.usage == Usage(input_tokens=12, output_tokens=5)
@@ -308,7 +301,7 @@ class TestOpenAIChatBackend(WireTransportCases):
         assert call["json"]["model"] == "m"
 
     def test_exchange_counts_attempts(self):
-        backend, _ = self.make([FakeResponse(429), FakeResponse(200, completion_payload("later"))])
+        backend, _ = self.make([FakeResponse(429), FakeResponse(200, completion("later"))])
         ex = backend.complete(ChatRequest("hi"))
         assert ex.text == "later"
         assert ex.attempts == 2
@@ -463,7 +456,7 @@ class TestUsageLog:
 class TestOnTheWire:
     """What the wire clients send and how they connect, seen by a loopback endpoint."""
 
-    CHAT_REPLY = (200, completion_payload("ok"))
+    CHAT_REPLY = (200, completion("ok"))
 
     def test_sequential_calls_share_one_connection(self, loopback):
         loopback.handler = lambda posted: self.CHAT_REPLY
@@ -534,7 +527,7 @@ class TestProxyAndRedirect:
 
     def test_http_proxy_gets_the_absolute_url(self, loopback, monkeypatch, no_dns):
         monkeypatch.setenv("HTTP_PROXY", loopback.url)
-        loopback.handler = lambda posted: (200, completion_payload("proxied"))
+        loopback.handler = lambda posted: (200, completion("proxied"))
         assert self.chat().complete(ChatRequest("hi")).text == "proxied"
         (posted,) = loopback.received
         assert posted.request_line == f"POST http://{self.HOST}/v1/chat/completions HTTP/1.1"
@@ -552,7 +545,7 @@ class TestProxyAndRedirect:
 
     def test_proxy_variables_are_read_once_per_endpoint(self, loopback, monkeypatch, no_dns):
         monkeypatch.setenv("HTTP_PROXY", loopback.url)
-        loopback.handler = lambda posted: (200, completion_payload("proxied"))
+        loopback.handler = lambda posted: (200, completion("proxied"))
         backend = self.chat()
         monkeypatch.delenv("HTTP_PROXY")
         assert backend.complete(ChatRequest("hi")).text == "proxied"

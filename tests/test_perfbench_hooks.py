@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from conftest import standard_rules
+from conftest import completion, standard_rules
 from qnav import evalkit
 from qnav.gateway import (
     ChatRequest,
@@ -62,8 +62,7 @@ def test_report_questions_carry_wall_time(sample_questions):
 def stub_reply(posted):
     """Answers each POST by path as perfbench's stub does: a completion or a score."""
     if posted.path.endswith("/chat/completions"):
-        return 200, {"choices": [{"message": {"content": "The answer is 7."}}],
-                     "usage": {"prompt_tokens": 3, "completion_tokens": 4}}
+        return 200, completion("The answer is 7.", 3, 4)
     return 200, {"score": 0.75}
 
 
