@@ -2,7 +2,8 @@
 
 Equivalence is deliberately scoped to decimals and simple fractions; anything
 unparseable falls back to exact string comparison. Symbolic math equality is
-out of scope here.
+out of scope here. No answer is expanded exactly: a decimal beyond float range
+compares as +-inf, and a fraction a/b only parses with at most 300 digits a side.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import DatasetKind
 
@@ -22,6 +22,7 @@ _CHOICE_RE = re.compile(r"the answer is\s*:?\s*\(?([A-Ja-j])\)?(?![A-Za-z])", re
 _YESNO_RE = re.compile(r"the answer is\s*:?\s*(yes|no)\b", re.IGNORECASE)
 _BARE_YESNO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _FRAC_RE = re.compile(r"\\d?frac\s*\{([^{}]*)\}\s*\{([^{}]*)\}")
+_RATIO_RE = re.compile(r"[-+]?\d{1,300}/\d{1,300}")  # a / b of these is a finite float
 
 
 def _innermost_boxed(text: str) -> str | None:
@@ -86,10 +87,9 @@ def _normalize_numeric(value: str) -> str:
 
 def _parse_number(value: str) -> float | None:
     s = _normalize_numeric(value)
-    try:
-        return float(Fraction(s))
-    except (ValueError, ZeroDivisionError):
-        pass
+    if _RATIO_RE.fullmatch(s):
+        num, den = (int(part) for part in s.split("/"))
+        return num / den if den else None
     try:
         return float(s)
     except ValueError:

@@ -417,13 +417,14 @@ def cmd_eval(args) -> int:
     seed = settings["seed"]
     policy_name = settings["policy"]
     checkpoint_path = settings["checkpoint"]
-    trials = settings["trials"]
-    if trials < 1:
-        raise ConfigError(f"trials: need at least one, got {trials}")
     out = _out_dir(settings, seed)
     chat = build_chat_backend(sections["gateway"])
     prm = build_prm_backend(sections["prm"], chat)
     env_cfg = _from_section(EnvConfig, sections["env"], "env")
+    try:
+        cfg = evalkit.EvalConfig(trials=settings["trials"], seed=seed, env=env_cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if policy_name not in POLICIES:
         raise ConfigError(f"unknown policy {policy_name!r}")
@@ -438,14 +439,13 @@ def cmd_eval(args) -> int:
         policy = evalkit.RandomPolicy(seed)
 
     dataset = evalkit.load_dataset(settings["dataset"])
-    cfg = evalkit.EvalConfig(trials=trials, seed=seed, env=env_cfg)
     # Scripted backends take no time, so a fully scripted run zeroes wall times to repeat byte for byte.
     offline = isinstance(chat, ScriptedChatBackend) and isinstance(prm, ScriptedPrm)
     report = evalkit.evaluate(policy, dataset, chat, prm, cfg, offline=offline)
 
     _write_json(out / "report.json", report.to_jsonable())
     _record(out, args.command, settings, sections, env=env_cfg)
-    if report.total and report.failed_trials == report.total * trials:
+    if report.total and report.failed_trials == report.total * cfg.trials:
         return _nothing_done(f"all {report.failed_trials} trials failed", out)
     print(f"accuracy {report.correct}/{report.total} = {report.accuracy:.4f}")
     print(f"artifacts in {out}")
@@ -465,19 +465,17 @@ def cmd_synth_train(args) -> int:
     if not seeds:
         raise ConfigError("need at least one seed")
     settings["seeds"] = ",".join(str(s) for s in seeds)
-    states = settings["states"]
-    if states < 2:
-        raise ConfigError(f"states: need at least two, got {states}")
-    sharpness = settings["sharpness"]
-    if not 0.0 <= sharpness <= 1.0:
-        raise ConfigError(f"sharpness: must lie in [0, 1], got {sharpness}")
+    try:
+        mdp = synthetic.make_scripted(n_states=settings["states"], sharpness=settings["sharpness"],
+                                      seed=settings["mdp_seed"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     threshold = settings["threshold"]
     if settings["min_pass"] is None:
         settings["min_pass"] = len(seeds) - 1 if len(seeds) > 1 else 1
     min_pass = settings["min_pass"]
     out = _out_dir(settings, seeds[0])
 
-    mdp = synthetic.make_scripted(n_states=states, sharpness=sharpness, seed=settings["mdp_seed"])
     trainer_cfgs = [_from_section(dqn.TrainerConfig, sections["trainer"], "trainer", seed=s) for s in seeds]
     results = []
     passed = 0

@@ -70,6 +70,8 @@ class TrainerConfig:
         for name in ("episodes", "batch_size", "target_sync_interval", "lr_decay_every", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if min(self.widths) < 1:
+            raise ValueError(f"widths must be positive, got {list(self.widths)}")
         if self.buffer_capacity < self.batch_size:
             raise ValueError("buffer capacity smaller than batch size")
 

@@ -77,8 +77,11 @@ class EnvConfig:
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
 
     def __post_init__(self) -> None:
-        if self.max_actions < 1:
-            raise ValueError("max_actions must be positive")
+        for name in ("max_actions", "subtask_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.self_eval_retry < 0:
+            raise ValueError(f"self_eval_retry must not be negative, got {self.self_eval_retry}")
         # The navigator must always be able to reason plainly and to stop.
         for required in (ActionKind.REASON_ONE_STEP, ActionKind.TERMINATE):
             if required not in self.enabled_blocks:
@@ -131,11 +134,12 @@ def initial_context(question: str, kind: DatasetKind) -> ReasoningContext:
 
 
 class _Pipeline:
-    """Collects sub-calls for one step (or one reset evaluation)."""
+    """Collects sub-calls for one step (or one reset evaluation), each recorded in usage_log as it returns."""
 
-    def __init__(self, chat: ChatBackend, cfg: EnvConfig):
+    def __init__(self, chat: ChatBackend, cfg: EnvConfig, usage_log: UsageLog | None):
         self.chat = chat
         self.cfg = cfg
+        self.usage_log = usage_log
         self.calls: list[SubCall] = []
 
     def ask(self, stage: str, prompt: str) -> str:
@@ -145,6 +149,8 @@ class _Pipeline:
             max_output_tokens=self.cfg.max_output_tokens,
         )
         exchange = self.chat.complete(request)
+        if self.usage_log is not None:
+            self.usage_log.record(exchange)
         self.calls.append(SubCall(stage=stage, exchange=exchange))
         return exchange.text
 
@@ -179,11 +185,12 @@ def _self_evaluate(pipe: _Pipeline, ctx: ReasoningContext) -> StateVector:
 
 
 def reset(
-    question: str, kind: DatasetKind, chat: ChatBackend, cfg: EnvConfig = EnvConfig()
+    question: str, kind: DatasetKind, chat: ChatBackend, cfg: EnvConfig = EnvConfig(),
+    *, usage_log: UsageLog | None = None,
 ) -> tuple[ReasoningContext, StateVector, tuple[SubCall, ...]]:
     """Fresh context plus the initial state from evaluating the bare problem."""
     ctx = initial_context(question, kind)
-    pipe = _Pipeline(chat, cfg)
+    pipe = _Pipeline(chat, cfg, usage_log)
     state = _self_evaluate(pipe, ctx)
     return ctx, state, tuple(pipe.calls)
 
@@ -230,6 +237,7 @@ def step(
     cfg: EnvConfig = EnvConfig(),
     *,
     navigate_only: bool = False,
+    usage_log: UsageLog | None = None,
 ) -> StepOutcome:
     """Execute one logic block; see the module docstring for the contract.
 
@@ -246,7 +254,7 @@ def step(
         else:
             raise IllegalActionError(f"{action.name} not legal here (legal: {sorted(a.name for a in legal)})")
 
-    pipe = _Pipeline(chat, cfg)
+    pipe = _Pipeline(chat, cfg, usage_log)
     match executed:
         case ActionKind.REASON_ONE_STEP:
             text = pipe.ask("reason_one_step", prompts.render_reason_one_step(ctx))
@@ -296,7 +304,8 @@ class ReasoningEpisode:
     Parse failures inside a block terminate the episode with reward 0 for
     that step; gateway and evaluation failures abort it via EpisodeFailure,
     except GatewayAuthError, which propagates: no later episode can succeed.
-    navigate_only episodes (eval) pass navigate_only to every step.
+    navigate_only episodes (eval) pass navigate_only to every step. Each chat
+    call is recorded in usage_log as it returns, so a failed step's calls count.
     """
 
     problem: str
@@ -314,19 +323,13 @@ class ReasoningEpisode:
     final_text: str | None = field(default=None, init=False)
     failed: bool = field(default=False, init=False)
 
-    def _record(self, calls: tuple[SubCall, ...]) -> None:
-        if self.usage_log is not None:
-            for call in calls:
-                self.usage_log.record(call.exchange)
-
     def reset(self) -> StateVector:
         try:
-            ctx, state, calls = reset(self.problem, self.kind, self.chat, self.cfg)
+            ctx, state, _ = reset(self.problem, self.kind, self.chat, self.cfg, usage_log=self.usage_log)
         except GatewayAuthError:
             raise
         except (GatewayError, MalformedEvaluationError) as exc:
             raise EpisodeFailure(f"reset failed: {exc}") from exc
-        self._record(calls)
         self.ctx, self.state = ctx, state
         self.actions.clear()
         self.final_text = None
@@ -346,7 +349,7 @@ class ReasoningEpisode:
         assert self.ctx is not None and self.state is not None, "reset() first"
         try:
             outcome = step(self.ctx, self.state, action, self.chat, self.prm, self.cfg,
-                           navigate_only=self.navigate_only)
+                           navigate_only=self.navigate_only, usage_log=self.usage_log)
         except StepFailureError as exc:
             log.warning("question %s: %s", self.question_id or "?", exc)
             self.failed = True
@@ -356,7 +359,6 @@ class ReasoningEpisode:
             raise
         except (GatewayError, MalformedEvaluationError) as exc:
             raise EpisodeFailure(f"step failed: {exc}") from exc
-        self._record(outcome.transcript)
         self.actions.append(action)
         self.ctx, self.state = outcome.ctx, outcome.state
         if outcome.done:

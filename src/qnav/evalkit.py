@@ -263,7 +263,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 1:
-            raise ValueError("trials must be positive")
+            raise ValueError(f"trials: need at least one, got {self.trials}")
 
 
 class _TrialOutcome(NamedTuple):

@@ -237,7 +237,10 @@ def parse_self_eval(text: str) -> SelfEvalReport:
         key = m.group(1).upper()
         if key not in ASPECT_KEYS or key in scores:
             continue
-        value = int(m.group(2))
+        try:
+            value = int(m.group(2))
+        except ValueError:  # more digits than int() converts: out of range too
+            continue
         if not 0 <= value <= MAX_SCORE:
             continue
         scores[key] = value
@@ -280,7 +283,10 @@ def parse_plan_choice(text: str, n_plans: int = NUM_PLANS) -> int:
     matches = _CHOICE_RE.findall(text)
     if not matches:
         raise ParseFailure("no plan choice marker found")
-    index = int(matches[-1])
+    try:
+        index = int(matches[-1])
+    except ValueError:  # more digits than int() converts
+        raise ParseFailure("plan index out of range: too many digits") from None
     if not 1 <= index <= n_plans:
         raise ParseFailure(f"plan index out of range: {index}")
     return index

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NUM_ACTIONS, ActionKind, StateVector, encode_state
+from .core import MAX_SCORE, NUM_ACTIONS, STATE_DIM, ActionKind, StateVector, encode_state
 from .dqn import masked_argmax
 from .env import legal_action_set
 
 _TERM = int(ActionKind.TERMINATE)
+MAX_STATES = (MAX_SCORE + 1) ** STATE_DIM  # distinct StateVectors
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,16 @@ def make_scripted(
 ) -> ScriptedMdp:
     """Deterministic generation of a planted-optimum MDP.
 
-    sharpness in [0, 1] shrinks the reward noise band 0.3 * (1 - sharpness):
-    planted actions draw from [1 - band, 1], the rest from [0, band].
+    n_states in [2, MAX_STATES] distinct states are drawn. sharpness in [0, 1]
+    shrinks the reward noise band 0.3 * (1 - sharpness): planted actions draw
+    from [1 - band, 1], the rest from [0, band].
     """
-    if n_states < 2:
-        raise ValueError("need at least two states")
+    if not 2 <= n_states <= MAX_STATES:
+        raise ValueError(f"n_states: must lie in [2, {MAX_STATES}], got {n_states}")
     if not 0.0 <= sharpness <= 1.0:
-        raise ValueError(f"sharpness out of range: {sharpness}")
+        raise ValueError(f"sharpness: must lie in [0, 1], got {sharpness}")
     rng = np.random.default_rng(seed)
-    codes = rng.choice(4**7, size=n_states, replace=False)
+    codes = rng.choice(MAX_STATES, size=n_states, replace=False)
     states = []
     for code in codes:
         digits = []

@@ -1,9 +1,10 @@
 """Answer extraction, equivalence, and self-consistency voting."""
 
 import random
+from datetime import timedelta
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnav.answers import answers_equivalent, extract_answer, majority_vote
@@ -238,3 +239,46 @@ class TestMajorityVote:
                 assert result.winner == tied_reps[0]
             else:
                 assert result.winner == random.Random(trial).choice(tied_reps)
+
+
+# Pieces of LLM replies: answer markers, braces, signs, decimal points,
+# fraction bars and exponent marks, and numbers up to 13 digits, so that
+# exponents far outside float range are common.
+REPLY_PIECES = st.one_of(
+    st.sampled_from(["\\boxed{", "boxed{", "\\frac{", "{", "}", "}{", "The answer is ", "the answer is: ", "$",
+                     "(", ")", ",", ".", "/", "-", "+", "e", "E", "e-", " ", "\n", "yes", "No", "b", "inf", "nan"]),
+    st.integers(0, 10**13).map(str),
+    st.text(max_size=3),
+)
+REPLIES = st.lists(REPLY_PIECES, max_size=40).map("".join)
+KINDS = st.sampled_from(list(DatasetKind))
+# Each example's calls take microseconds; expanding 1e-10000000 exactly took 8.8 s.
+BUDGET = settings(deadline=timedelta(seconds=1))
+
+
+class TestMalformedReplies:
+    """No reply text makes extraction, equivalence or the vote raise or stall."""
+
+    @BUDGET
+    @given(REPLIES, KINDS)
+    @example("The answer is \\boxed{1e309}.", MATH)
+    def test_extract_answer_returns_none_or_text(self, text, kind):
+        answer = extract_answer(text, kind)
+        assert answer is None or isinstance(answer, str)
+
+    @BUDGET
+    @given(REPLIES, REPLIES, KINDS)
+    @example("1e309", "7", MATH)
+    @example("1e309", "1e400", NUM)
+    @example("1e-10000000", "0", MATH)
+    @example("1e999999999", "-1e999999999", MATH)
+    @example("1" * 4000 + "/3", "7", MATH)
+    def test_answers_equivalent_returns_a_bool(self, a, b, kind):
+        assert answers_equivalent(a, b, kind) in (True, False)
+
+    @BUDGET
+    @given(st.lists(REPLIES, min_size=1, max_size=9), KINDS, st.integers(0, 2**32 - 1))
+    @example(["1e309", "7", "1e309"], MATH, 0)
+    def test_majority_vote_names_one_of_its_answers(self, answers, kind, seed):
+        v = majority_vote(answers, kind, seed=seed)
+        assert answers[v.index] == v.winner

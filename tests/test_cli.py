@@ -268,6 +268,14 @@ class TestConfigHandling:
         pytest.param({"trainer": {"seed": 3}}, "trainer.seed", id="trainer.seed"),
         pytest.param({"trainer": {"widths": [8]}}, "trainer.widths", id="trainer.widths"),
         pytest.param({"trainer": {"batch_size": 2.5}}, "trainer.batch_size", id="trainer.batch_size"),
+        pytest.param({"trainer": {"widths": [0, 4]}}, "trainer: widths must be positive, got [0, 4]",
+                     id="trainer.widths-zero"),
+        pytest.param({"env": {"self_eval_retry": -1}}, "env: self_eval_retry must not be negative, got -1",
+                     id="env.self_eval_retry-negative"),
+        pytest.param({"env": {"subtask_cap": 0}}, "env: subtask_cap must be positive, got 0",
+                     id="env.subtask_cap-zero"),
+        pytest.param({"env": {"subtask_cap": -1}}, "env: subtask_cap must be positive, got -1",
+                     id="env.subtask_cap-negative"),
         pytest.param({"env": {"max_action": 2}}, "env.max_action", id="env.max_action"),
         pytest.param({"env": {"temperature": "hot"}}, "env.temperature", id="env.temperature"),
         pytest.param({"env": []}, "env must be a JSON object", id="env"),
@@ -876,6 +884,28 @@ class TestEval:
         assert adapter.poolmanager.connection_pool_kw["maxsize"] >= 34
 
 
+class TestAnswerBeyondFloatRange:
+    """A boxed reply of 1e309 is an answer that matches no finite one; the run ends normally."""
+
+    def run(self, tmp_path, command, *flags):
+        rules = [{"contains": r.contains, "response": "The answer is \\boxed{1e309}." if "boxed" in r.contains
+                  else r.response} for r in standard_rules()]
+        cfg = write_config(tmp_path, scripted_config(gateway={"backend": "scripted", "rules": rules}))
+        data = write_dataset(tmp_path, [QuestionRecord("q", "What is 3 + 4?", "7", DatasetKind.MATH_BOXED)])
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--dataset", data, *flags, "--out-dir", str(out)]) == cli.EXIT_OK
+        return out
+
+    def test_eval_votes_on_it(self, tmp_path):
+        out = self.run(tmp_path, "eval", "--policy", "fixed-sequence", "--trials", "2")
+        q = json.loads((out / "report.json").read_text())["questions"][0]
+        assert (q["final_answer"], q["trial_answers"], q["correct"]) == ("1e309", ["1e309", "1e309"], False)
+
+    def test_mine_hard_keeps_its_question(self, tmp_path):
+        out = self.run(tmp_path, "mine-hard")
+        assert [r.id for r in evalkit.load_dataset(out / "hard_set.jsonl")] == ["q"]
+
+
 class TestSynthTrain:
     def test_passes_and_writes_results(self, tmp_path, capsys):
         out = tmp_path / "synth"
@@ -954,6 +984,13 @@ class TestSynthTrain:
         assert code == cli.EXIT_OK
         assert (out / "reward_curve_seed1.tsv").exists()
         assert "2/2 seeds passed (need 1): PASS" in capsys.readouterr().out
+
+    def test_states_beyond_every_state_vector_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        code = cli.main(["synth-train", "--states", "16385", "--episodes", "1", "--out-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: n_states: must lie in [2, 16384], got 16385" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_at_least_one_seed(self, tmp_path, capsys):
         code = cli.main(["synth-train", "--seeds", ",", "--out-dir", str(tmp_path / "o")])

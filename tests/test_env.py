@@ -3,9 +3,12 @@
 import hashlib
 import json
 import threading
+from datetime import timedelta
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qnav.core import ActionKind, DatasetKind, EpisodeFailure, StateVector
 from qnav.env import (
@@ -21,10 +24,19 @@ from qnav.env import (
     reset,
     step,
 )
-from qnav.gateway import GatewayError, ScriptedChatBackend, ScriptedPrm, ScriptedRule, Usage, UsageLog
+from qnav.gateway import (
+    GatewayError,
+    OpenAIChatBackend,
+    ScriptedChatBackend,
+    ScriptedPrm,
+    ScriptedRule,
+    Usage,
+    UsageLog,
+    WireConfig,
+)
 from qnav.prompts import MalformedEvaluationError, format_steps
 
-from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, block_calls, standard_rules
+from conftest import EVAL_RESPONSE, PLANS_RESPONSE, SUBTASKS_RESPONSE, block_calls, completion, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -475,6 +487,52 @@ class TestReasoningEpisode:
         assert total.input_tokens > 0 and total.output_tokens > 0
         assert total == sum((e.usage for e in chat.call_log), Usage())
 
+    @staticmethod
+    def assert_logged_all(logbook, chat, calls):
+        assert logbook.calls == len(chat.call_log) == calls
+        assert logbook.totals() == sum((e.usage for e in chat.call_log), Usage())
+
+    def test_usage_log_counts_a_failed_steps_calls(self, prm):
+        rules = list(standard_rules())
+        rules[2] = ScriptedRule("Please decompose the current task into subtasks", "no markers")
+        chat = ScriptedChatBackend(rules)
+        logbook = UsageLog()
+        ep = self.make(chat, prm, usage_log=logbook)
+        ep.reset()
+        ep.step(DEC)
+        assert ep.failed is True
+        # reset eval + the split and its re-prompt, neither parseable
+        self.assert_logged_all(logbook, chat, 3)
+
+    def test_usage_log_counts_a_failed_resets_calls(self, prm):
+        rules = list(standard_rules())
+        rules[0] = ScriptedRule("Please evaluate the current step", "hmm.")
+        chat = ScriptedChatBackend(rules)
+        logbook = UsageLog()
+        ep = self.make(chat, prm, usage_log=logbook)
+        with pytest.raises(EpisodeFailure):
+            ep.reset()
+        # the self-evaluation and its one re-prompt, neither with an aspect marker
+        self.assert_logged_all(logbook, chat, 2)
+
+    def test_usage_log_counts_every_post_of_a_failed_wire_step(self, prm, loopback):
+        rules = list(standard_rules())
+        rules[2] = ScriptedRule("Please decompose the current task into subtasks", "no markers")
+
+        def reply(posted):
+            prompt = posted.json()["messages"][0]["content"]
+            return 200, completion(next(r.response for r in rules if r.contains in prompt), 3, 4)
+
+        loopback.handler = reply
+        chat = OpenAIChatBackend(WireConfig(base_url=loopback.url + "/v1", model="m"))
+        logbook = UsageLog()
+        ep = self.make(chat, prm, usage_log=logbook)
+        ep.reset()
+        assert ep.step(DEC)[1:] == (0.0, True)
+        assert ep.failed is True
+        assert logbook.calls == loopback.paths().count("/v1/chat/completions") == 3
+        assert logbook.totals() == Usage(input_tokens=9, output_tokens=12)
+
     def test_reset_clears_previous_run(self, chat, prm):
         ep = self.make(chat, prm)
         ep.reset()
@@ -484,6 +542,41 @@ class TestReasoningEpisode:
         assert ep.actions == []
         assert ep.final_text is None
         assert ep.final_answer is None
+
+
+# Pieces of replies: each parser's markers, each followed by a number (some
+# longer than the 4,300 digits int() converts), and short free text.
+MARKED_NUMBERS = st.tuples(
+    st.sampled_from(["A1 score=", "c2 SCORE = [", "### Subtask", "### Plan", "The most promising plan is Plan",
+                     "\\boxed{", "The answer is ", ""]),
+    st.one_of(st.integers(-3, 10**6).map(str), st.integers(4290, 5000).map(lambda n: "1" * n)),
+).map("".join)
+REPLY_PIECES = st.one_of(MARKED_NUMBERS, st.sampled_from([":", "]", "}", "\n", " "]), st.text(max_size=3))
+# The rules a numeric question's episode asks: every stage, and its own terminate ending.
+NUM_STAGES = [i for i, r in enumerate(standard_rules()) if i < 9 or "numerical_answer" in r.contains]
+
+
+class TestMalformedReplies:
+    """Whatever one pipeline stage replies, an episode ends normally or in EpisodeFailure."""
+
+    @settings(max_examples=200, deadline=timedelta(seconds=2))
+    @given(st.sampled_from(NUM_STAGES), st.lists(REPLY_PIECES, max_size=20).map("".join))
+    @example(0, "A1 score=" + "1" * 4301)
+    @example(6, "The most promising plan is Plan" + "1" * 4301)
+    def test_any_reply_at_one_stage(self, stage, text):
+        rules = list(standard_rules())
+        rules[stage] = ScriptedRule(rules[stage].contains, text)
+        ep = ReasoningEpisode(problem="What is 3 + 4?", kind=NUM, chat=ScriptedChatBackend(rules),
+                              prm=ScriptedPrm(default=0.5))
+        done = False
+        try:
+            ep.reset()
+            for action in (DEC, DEB, REF, R, T):  # every block, as far as masking allows
+                if not done and action in ep.legal_actions():
+                    done = ep.step(action)[2]
+        except EpisodeFailure:
+            return
+        assert done
 
 
 @pytest.mark.parametrize("cap, episodes", [(1, 1), (2, 4), (4, 10)])

@@ -38,7 +38,7 @@ from qnav.gateway import (
 )
 from qnav.net import DuelingNet
 
-from conftest import EVAL_RESPONSE, PooledScriptedChat, completion, standard_rules
+from conftest import EVAL_RESPONSE, SUBTASKS_RESPONSE, PooledScriptedChat, completion, standard_rules
 
 R = ActionKind.REASON_ONE_STEP
 DEC = ActionKind.DECOMPOSE
@@ -408,6 +408,18 @@ class TestEvaluate:
         assert q.failed_trials == 1
         assert report.failed_trials == 1
         assert q.final_answer == "7" and q.correct
+
+    def test_usage_counts_the_calls_of_a_trial_whose_step_failed(self):
+        # Trial 0's decompose split and its re-prompt do not parse; later trials' do.
+        rules = [r for r in standard_rules() if "Please decompose" not in r.contains]
+        rules.append(ScriptedRule("Please decompose the current task into subtasks",
+                                  ["no markers", "no markers", SUBTASKS_RESPONSE]))
+        chat = ScriptedChatBackend(rules)
+        report = self.run([record("q1", "What is 3 + 4?", "7")], chat)
+        assert report.results[0].trial_answers == (None, "7", "7")
+        assert report.usage == sum((e.usage for e in chat.call_log), Usage())
+        q = report.results[0]
+        assert (q.input_tokens, q.output_tokens) == (report.usage.input_tokens, report.usage.output_tokens)
 
     def test_vote_seed_offsets_by_question_index(self):
         # two questions tying 1-1; identical candidates but different vote

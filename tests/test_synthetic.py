@@ -13,6 +13,7 @@ import pytest
 from qnav.core import ActionKind, NUM_ACTIONS, StateVector, encode_state
 from qnav.env import legal_action_set
 from qnav.synthetic import (
+    MAX_STATES,
     OracleSolution,
     ScriptedMdp,
     SyntheticEpisode,
@@ -107,6 +108,13 @@ class TestMakeScripted:
     def test_rejects_bad_arguments(self, bad_kwargs):
         with pytest.raises(ValueError):
             make_scripted(**{"n_states": 4, **bad_kwargs})
+
+    def test_states_reach_every_state_vector_and_no_further(self):
+        # rng.choice draws distinct codes from 4**7 without replacement.
+        with pytest.raises(ValueError, match="n_states"):
+            make_scripted(4**7 + 1)
+        mdp = make_scripted(4**7)
+        assert len({s.scores for s in mdp.states}) == 4**7 == MAX_STATES
 
 
 class TestOptimalReturn:
