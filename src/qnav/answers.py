@@ -1,9 +1,10 @@
 """Final-answer extraction, answer equivalence, and self-consistency voting.
 
 Equivalence is deliberately scoped to decimals and simple fractions; anything
-unparseable falls back to exact string comparison. Symbolic math equality is
-out of scope here. No answer is expanded exactly: a decimal beyond float range
-compares as +-inf, and a fraction a/b only parses with at most 300 digits a side.
+unparseable, and nan, falls back to exact string comparison. Symbolic math
+equality is out of scope here. No answer is expanded exactly: a decimal beyond
+float range compares as +-inf, and a fraction a/b only parses with at most 300
+digits a side.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ _YESNO_RE = re.compile(r"the answer is\s*:?\s*(yes|no)\b", re.IGNORECASE)
 _BARE_YESNO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _FRAC_RE = re.compile(r"\\d?frac\s*\{([^{}]*)\}\s*\{([^{}]*)\}")
 _RATIO_RE = re.compile(r"[-+]?\d{1,300}/\d{1,300}")  # a / b of these is a finite float
+_BAR_RE = re.compile(r"\s*/\s*")
 
 
 def _innermost_boxed(text: str) -> str | None:
@@ -81,6 +83,7 @@ def _normalize_numeric(value: str) -> str:
     while s.startswith("{") and s.endswith("}"):
         s = s[1:-1].strip()
     s = _FRAC_RE.sub(lambda m: f"{m.group(1)}/{m.group(2)}", s)
+    s = _BAR_RE.sub("/", s)
     s = s.replace(",", "").rstrip(".").strip()
     return s
 
@@ -91,9 +94,10 @@ def _parse_number(value: str) -> float | None:
         num, den = (int(part) for part in s.split("/"))
         return num / den if den else None
     try:
-        return float(s)
+        x = float(s)
     except ValueError:
         return None
+    return None if math.isnan(x) else x  # nan equals nothing, so it compares as text
 
 
 def answers_equivalent(a: str, b: str, kind: DatasetKind) -> bool:

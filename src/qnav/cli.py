@@ -366,6 +366,8 @@ def cmd_mine_hard(args) -> int:
 
 def cmd_train(args) -> int:
     settings, sections = _resolve(args, _load_config_file(args.config))
+    if not sections["prm"]:
+        raise ConfigError("prm: train needs a prm section, the source of its rewards")
     seed = settings["seed"]
     hard_path = settings["hard_set"]
     out = _out_dir(settings, seed)

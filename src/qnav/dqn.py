@@ -41,7 +41,7 @@ class Env(Protocol):
     def reset(self) -> StateVector: ...
 
     def legal_actions(self) -> Sequence[ActionKind]:
-        """The legal actions, in index order."""
+        """The legal actions in index order, as env.legal_action_set returns them."""
 
     def step(self, action: ActionKind) -> tuple[StateVector, float, bool]: ...
 

@@ -54,7 +54,8 @@ log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 ALL_BLOCKS = frozenset(ActionKind)
-ONLY_TERMINATE = frozenset({ActionKind.TERMINATE})
+ONLY_TERMINATE = (ActionKind.TERMINATE,)
+_INDEX_ORDER = tuple(ActionKind)
 
 
 class IllegalActionError(ValueError):
@@ -104,7 +105,6 @@ class StepOutcome:
     state: StateVector
     reward: float
     done: bool
-    executed: ActionKind  # the requested action, except Refine at step 0 runs as ReasonOneStep
     transcript: tuple[SubCall, ...]
 
 
@@ -113,17 +113,15 @@ def legal_action_set(
     actions_taken: int,
     max_actions: int = 5,
     enabled: frozenset[ActionKind] = ALL_BLOCKS,
-) -> frozenset[ActionKind]:
-    """Masking rules; Terminate is always available, and forced at the end."""
+) -> tuple[ActionKind, ...]:
+    """Masking rules, as a tuple in index order; Terminate is always available, and forced at the end."""
     if answer_present or actions_taken >= max_actions - 1:
         return ONLY_TERMINATE
-    legal = set(enabled) | {ActionKind.TERMINATE}
-    if actions_taken == 0:
-        legal.discard(ActionKind.REFINE)  # nothing to refine yet
-    return frozenset(legal)
+    hidden = ActionKind.REFINE if actions_taken == 0 else None  # nothing to refine yet
+    return tuple([a for a in _INDEX_ORDER if a is not hidden and (a in enabled or a is ActionKind.TERMINATE)])
 
 
-def legal_actions(ctx: ReasoningContext, cfg: EnvConfig) -> frozenset[ActionKind]:
+def legal_actions(ctx: ReasoningContext, cfg: EnvConfig) -> tuple[ActionKind, ...]:
     return legal_action_set(ctx.answer_present, ctx.actions_taken, cfg.max_actions, cfg.enabled_blocks)
 
 
@@ -241,21 +239,16 @@ def step(
 ) -> StepOutcome:
     """Execute one logic block; see the module docstring for the contract.
 
-    Refine requested on an empty context executes as ReasonOneStep. Any other
-    action outside the legal set raises IllegalActionError. With
-    navigate_only, a block after which only Terminate is legal returns the
-    previous state unevaluated.
+    An action outside the legal set raises IllegalActionError before any
+    call. With navigate_only, a block after which only Terminate is legal
+    returns the previous state unevaluated.
     """
     legal = legal_actions(ctx, cfg)
-    executed = action
     if action not in legal:
-        if action is ActionKind.REFINE and ctx.actions_taken == 0 and not ctx.answer_present:
-            executed = ActionKind.REASON_ONE_STEP
-        else:
-            raise IllegalActionError(f"{action.name} not legal here (legal: {sorted(a.name for a in legal)})")
+        raise IllegalActionError(f"{action.name} not legal here (legal: {', '.join(a.name for a in legal)})")
 
     pipe = _Pipeline(chat, cfg, usage_log)
-    match executed:
+    match action:
         case ActionKind.REASON_ONE_STEP:
             text = pipe.ask("reason_one_step", prompts.render_reason_one_step(ctx))
         case ActionKind.DECOMPOSE:
@@ -267,7 +260,7 @@ def step(
         case ActionKind.TERMINATE:
             text = pipe.ask("terminate", prompts.render_terminate(ctx))
 
-    done = executed is ActionKind.TERMINATE
+    done = action is ActionKind.TERMINATE
     answer_present = done or extract_answer(text, ctx.dataset_kind) is not None
     new_ctx = ctx.with_step(text, answer_present=answer_present)
     reward = score_process(prm, ctx.problem, prompts.format_steps(new_ctx))
@@ -280,7 +273,6 @@ def step(
         state=next_state,
         reward=reward,
         done=done,
-        executed=executed,
         transcript=tuple(pipe.calls),
     )
 
@@ -341,9 +333,9 @@ class ReasoningEpisode:
         """Episodes the trainer may run at once: episodes_in_flight(chat)."""
         return episodes_in_flight(self.chat)
 
-    def legal_actions(self) -> list[ActionKind]:
+    def legal_actions(self) -> tuple[ActionKind, ...]:
         assert self.ctx is not None, "reset() first"
-        return sorted(legal_actions(self.ctx, self.cfg), key=int)
+        return legal_actions(self.ctx, self.cfg)
 
     def step(self, action: ActionKind) -> tuple[StateVector, float, bool]:
         assert self.ctx is not None and self.state is not None, "reset() first"

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence, TypeVar
 from .answers import answers_equivalent, extract_answer, majority_vote
 from .core import ActionKind, DatasetKind, EpisodeFailure, StateVector, atomic_write, encode_state
 from .dqn import masked_argmax
-from .env import EnvConfig, ReasoningEpisode, episodes_in_flight
+from .env import ONLY_TERMINATE, EnvConfig, ReasoningEpisode, episodes_in_flight
 from .gateway import ChatBackend, ChatExchange, ChatRequest, GatewayAuthError, GatewayError, PrmBackend, Usage, UsageLog
 from .net import DuelingNet
 from .prompts import render_mining
@@ -245,7 +245,7 @@ def run_episode(episode: ReasoningEpisode, policy: Policy) -> None:
     while not done:
         assert episode.ctx is not None
         legal = episode.legal_actions()
-        if legal == [ActionKind.TERMINATE]:
+        if legal == ONLY_TERMINATE:
             action = ActionKind.TERMINATE
         else:
             action = policy.select(state, legal, episode.ctx.actions_taken)

@@ -90,27 +90,23 @@ class OracleSolution:
     actions: tuple[tuple[int, ...], ...]  # [step][state]
 
 
-def _legal_indices(step: int, horizon: int) -> list[int]:
-    legal = legal_action_set(False, step, horizon)
-    return sorted(int(a) for a in legal)
-
-
 def optimal_return(mdp: ScriptedMdp, gamma: float) -> OracleSolution:
     """Exact value iteration over the finite horizon; no sampling anywhere."""
     n, horizon = mdp.n_states, mdp.horizon
     values = [[0.0] * n for _ in range(horizon + 1)]
     actions = [[_TERM] * n for _ in range(horizon)]
     for t in range(horizon - 1, -1, -1):
+        legal = legal_action_set(False, t, horizon)
         for s in range(n):
             best_value, best_action = -np.inf, _TERM
-            for a in _legal_indices(t, horizon):
+            for a in legal:
                 q = mdp.rewards[s][a]
                 if a != _TERM:
                     q += gamma * values[t + 1][mdp.next_state[s][a]]
                 if q > best_value:
                     best_value, best_action = q, a
             values[t][s] = best_value
-            actions[t][s] = best_action
+            actions[t][s] = int(best_action)
     return OracleSolution(
         value=float(np.mean(values[0])),
         values=tuple(tuple(row) for row in values[:horizon]),
@@ -127,7 +123,7 @@ def greedy_return(mdp: ScriptedMdp, net, gamma: float) -> float:
     n, horizon = mdp.n_states, mdp.horizon
     greedy: list[list[int]] = []
     for t in range(horizon):
-        legal = [ActionKind(a) for a in _legal_indices(t, horizon)]
+        legal = legal_action_set(False, t, horizon)
         row = []
         for s in range(n):
             q = net.forward(encode_state(mdp.states[s]))
@@ -162,8 +158,8 @@ class SyntheticEpisode:
         self._done = False
         return self.mdp.states[self._state_idx]
 
-    def legal_actions(self) -> list[ActionKind]:
-        return sorted(legal_action_set(False, self._taken, self.mdp.horizon), key=int)
+    def legal_actions(self) -> tuple[ActionKind, ...]:
+        return legal_action_set(False, self._taken, self.mdp.horizon)
 
     def step(self, action: ActionKind) -> tuple[StateVector, float, bool]:
         if self._done:

@@ -53,6 +53,12 @@ class TestNumericExtraction:
     def test_simple_fraction(self):
         assert extract_answer("The answer is 3/4.", NUM) == "3/4"
 
+    def test_spaced_fraction_is_a_number(self):
+        answer = extract_answer("The answer is 3 / 4", NUM)
+        assert answer == "3 / 4"
+        assert answers_equivalent(answer, "0.75", NUM)
+        assert answers_equivalent(answer, "3/4", NUM)
+
     def test_colon_variant(self):
         assert extract_answer("the answer is: 12", NUM) == "12"
 
@@ -154,8 +160,8 @@ class TestEquivalence:
 
 # Answer spellings per kind, grouped into equivalence classes.
 VOTE_POOLS = {
-    NUM: [["7", "7.0", "07", "14/2"], ["8"], ["1/2", "0.5"], ["-3", "-3.0"]],
-    MATH: [["\\frac{1}{2}", "1/2", "0.5"], ["\\frac{3}{4}", "0.75"], ["x+1"]],
+    NUM: [["7", "7.0", "07", "14/2"], ["8"], ["1/2", "0.5"], ["-3", "-3.0"], ["nan"]],
+    MATH: [["\\frac{1}{2}", "1/2", "0.5"], ["\\frac{3}{4}", "0.75", "3 / 4"], ["x+1"], ["nan"]],
     CHOICE: [["A", "a"], ["B", "b"], ["C"]],
     YESNO: [["yes", "YES", "Yes"], ["no", "NO"]],
 }
@@ -182,6 +188,10 @@ class TestMajorityVote:
         result = majority_vote(["7", "7", "8"], NUM)
         assert result.winner == "7"
         assert result.tie_broken is False
+
+    def test_nan_answers_pool_votes(self):
+        result = majority_vote(["nan", "nan", "7"], NUM, seed=0)
+        assert (result.winner, result.index, result.tie_broken) == ("nan", 0, False)
 
     def test_equivalent_answers_pool_votes(self):
         result = majority_vote(["1/2", "0.7", "0.5"], NUM)

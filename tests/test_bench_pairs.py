@@ -1,5 +1,6 @@
 """The verdicts of tools/bench_pairs.py: summarise and failed_share, and
-how a failed run reaches them: run_side and main's exit code.
+how a failed run reaches them: run_side and main's exit code. Also the
+export of the working tree that the change side runs from.
 
 Each benchmark comparison between a parent commit and a change rests on
 these functions, so their rules are pinned here on hand-made pairs.
@@ -7,6 +8,7 @@ these functions, so their rules are pinned here on hand-made pairs.
 
 import importlib
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -152,7 +154,7 @@ def test_main_exits_1_when_any_run_failed_its_checks(bench_pairs, tmp_path, monk
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [HIGHER]}))
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kwargs: "0" * 40)
-    monkeypatch.setattr(bench_pairs, "src_tree_id", lambda scratch: "1" * 40)
+    monkeypatch.setattr(bench_pairs, "working_tree_id", lambda scratch: "1" * 40)
     monkeypatch.setattr(bench_pairs, "export", lambda commit, into: into / commit)
     runs = []
 
@@ -164,5 +166,35 @@ def test_main_exits_1_when_any_run_failed_its_checks(bench_pairs, tmp_path, monk
     monkeypatch.setattr(bench_pairs, "run_side", run_side)
     assert bench_pairs.main(["--workload", "w", "--parent", "p", "--pairs", "2"]) == code
     assert len(runs) == 4
+    # Parent and change each run from their own export: of the commit, and of the working tree's id.
+    assert sorted(tree.name for tree, *_ in runs) == ["0" * 40] * 2 + ["1" * 40] * 2
     doc = json.loads((tmp_path / "BENCH_w.json").read_text())
     assert doc["all_checks_passed"] is (failing_run is None)
+
+
+def test_change_side_exports_the_whole_working_tree(bench_pairs, tmp_path, monkeypatch):
+    # Uncommitted edits and untracked files are exported, ignored files are not,
+    # and the checkout's own index stays as it was.
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    (repo / ".gitignore").write_text("out/\n")
+    (repo / "src" / "tracked.py").write_text("old\n")
+    subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+    (repo / "src" / "tracked.py").write_text("edited\n")
+    (repo / "src" / "untracked.py").write_text("new\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "trace.jsonl").write_text("{}\n")
+    index_before = (repo / ".git" / "index").read_bytes()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    tree_id = bench_pairs.working_tree_id(scratch)
+    exported = bench_pairs.export(tree_id, scratch)
+
+    assert exported == scratch / tree_id
+    assert sorted(str(p.relative_to(exported)) for p in exported.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/tracked.py", "src/untracked.py"]
+    assert (exported / "src" / "tracked.py").read_text() == "edited\n"
+    assert (repo / ".git" / "index").read_bytes() == index_before

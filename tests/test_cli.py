@@ -734,6 +734,19 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "train needs --hard-set" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"gateway": STANDARD_GATEWAY}, {"gateway": STANDARD_GATEWAY, "prm": {}},
+    ], ids=["missing", "empty"])
+    def test_requires_a_prm_section(self, tmp_path, capsys, doc):
+        # Without one, every reward would be a scripted PRM's constant default.
+        cfg = write_config(tmp_path, doc)
+        data = write_dataset(tmp_path, [numeric_question("hard", "9")])
+        out = tmp_path / "o"
+        code = cli.main(["train", "--config", cfg, "--hard-set", data, "--out-dir", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "prm: train needs a prm section" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_hard_set_is_a_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scripted_config())
         empty = tmp_path / "empty.jsonl"

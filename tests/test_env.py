@@ -68,7 +68,7 @@ class TestMasking:
         }
         for (answered, taken), want in table.items():
             got = legal_action_set(answered, taken)
-            assert got == frozenset(want), (answered, taken)
+            assert got == tuple(sorted(want)), (answered, taken)
 
     def test_refine_hidden_only_at_start(self):
         assert REF not in legal_action_set(False, 0)
@@ -76,11 +76,28 @@ class TestMasking:
 
     def test_disabled_blocks_are_masked(self):
         enabled = frozenset({R, T})
-        assert legal_action_set(False, 1, enabled=enabled) == frozenset({R, T})
+        assert legal_action_set(False, 1, enabled=enabled) == (R, T)
 
     def test_shorter_budget_forces_terminate_sooner(self):
-        assert legal_action_set(False, 2, max_actions=3) == frozenset({T})
-        assert legal_action_set(False, 1, max_actions=3) >= frozenset({R, T})
+        assert legal_action_set(False, 2, max_actions=3) == (T,)
+        assert set(legal_action_set(False, 1, max_actions=3)) >= {R, T}
+
+    @given(
+        answered=st.booleans(),
+        taken=st.integers(0, 6),
+        max_actions=st.integers(1, 6),
+        optional=st.frozensets(st.sampled_from([DEC, DEB, REF])),
+    )
+    def test_index_ordered_tuple(self, answered, taken, max_actions, optional):
+        enabled = optional | {R, T}
+        if answered or taken >= max_actions - 1:
+            want = {T}
+        else:
+            want = set(enabled) - ({REF} if taken == 0 else set())
+        got = legal_action_set(answered, taken, max_actions, enabled)
+        assert type(got) is tuple
+        assert all(int(a) < int(b) for a, b in zip(got, got[1:]))
+        assert got == tuple(sorted(want))
 
     def test_context_wrapper_agrees(self, chat):
         ctx, _, _ = make_ctx(chat)
@@ -156,7 +173,6 @@ class TestReasonOneStep:
         out = step(ctx, state, R, chat, prm)
         assert out.ctx.steps == ("We compute 3+4=7.",)
         assert out.done is False
-        assert out.executed is R
         assert [c.stage for c in block_calls(out)] == ["reason_one_step"]
         assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
 
@@ -182,7 +198,7 @@ class TestReasonOneStep:
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, R, chat, prm)
         assert out.ctx.answer_present is True
-        assert legal_actions(out.ctx, EnvConfig()) == frozenset({T})
+        assert legal_actions(out.ctx, EnvConfig()) == (T,)
 
     def test_plain_step_does_not_flip_mask(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
@@ -339,17 +355,17 @@ class TestDebate:
 
 
 class TestRefine:
-    def test_remapped_to_reasoning_at_start(self, chat, prm):
+    def test_illegal_at_start(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
-        out = step(ctx, state, REF, chat, prm)
-        assert out.executed is R
-        assert out.ctx.steps == ("We compute 3+4=7.",)
+        sent = len(chat.call_log)
+        with pytest.raises(IllegalActionError, match=r"REFINE not legal here \(legal: REASON_ONE_STEP, DECOMPOSE, DEBATE, TERMINATE\)"):
+            step(ctx, state, REF, chat, prm)
+        assert len(chat.call_log) == sent
 
     def test_runs_normally_after_first_step(self, chat, prm):
         ctx, state, _ = make_ctx(chat)
         mid = step(ctx, state, R, chat, prm)
         out = step(mid.ctx, mid.state, REF, chat, prm)
-        assert out.executed is REF
         assert out.ctx.steps[-1] == "Checked: the arithmetic is consistent."
 
 
@@ -432,9 +448,9 @@ class TestReasoningEpisode:
     def test_trainer_protocol_legal_actions(self, chat, prm):
         ep = self.make(chat, prm)
         ep.reset()
-        assert ep.legal_actions() == [R, DEC, DEB, T]
+        assert ep.legal_actions() == (R, DEC, DEB, T)
         ep.step(R)
-        assert ep.legal_actions() == [R, DEC, DEB, REF, T]
+        assert ep.legal_actions() == (R, DEC, DEB, REF, T)
 
     def test_step_failure_ends_episode_with_zero_reward(self, prm):
         rules = list(standard_rules())
@@ -663,7 +679,7 @@ class TestNavigateOnly:
 
         ctx, state, _ = make_ctx(chat, cfg)
         out = step(ctx, state, R, chat, RecordingPrm(), cfg, navigate_only=True)
-        assert legal_actions(out.ctx, cfg) == {T}
+        assert legal_actions(out.ctx, cfg) == (T,)
         assert [c.stage for c in out.transcript] == ["reason_one_step"]
         assert out.state is state  # the previous state, as Terminate returns it
         assert out.reward == 0.75 and threads == [threading.get_ident()]
@@ -673,7 +689,7 @@ class TestNavigateOnly:
         chat = ScriptedChatBackend(self.answering_rules())
         ctx, state, _ = make_ctx(chat)
         out = step(ctx, state, R, chat, prm)
-        assert legal_actions(out.ctx, EnvConfig()) == {T}
+        assert legal_actions(out.ctx, EnvConfig()) == (T,)
         assert [c.stage for c in out.transcript] == ["reason_one_step", "self_eval"]
 
     def test_step_with_a_choice_left_is_evaluated(self, chat, prm):
@@ -693,7 +709,8 @@ class TestNavigateOnly:
 
 class TestGoldenTranscript:
     """Every prompt, reply, reward and state of scripted episodes that take
-    each block and each re-prompt ending: recovered, failed, and fallback."""
+    each block but Refine and each re-prompt ending: recovered, failed, and
+    fallback."""
 
     PRM = ScriptedPrm([("Counting", 0.8), ("sum of 3 and 4", 0.6), ("answer is 7", 0.9)], default=0.3)
 
@@ -709,7 +726,6 @@ class TestGoldenTranscript:
                 break
             records.append([
                 action.name,
-                out.executed.name,
                 [self.call(c) for c in out.transcript],
                 out.reward,
                 list(out.state.scores),
@@ -744,7 +760,7 @@ class TestGoldenTranscript:
                 "They all seem fine.",
             ],
         )
-        every_block = self.run(rules, [REF, DEC, DEB, DEB, T])
+        every_block = self.run(rules, [R, DEC, DEB, DEB, T])
 
         rules = list(standard_rules())
         rules[2] = ScriptedRule("Please decompose the current task into subtasks", "I would rather not.")
@@ -754,7 +770,7 @@ class TestGoldenTranscript:
         rules[5] = ScriptedRule("propose three different alternative plans", "plan stuff, unformatted")
         failed_plans = self.run(rules, [DEB])
 
-        stages = [[c[0] for c in rec[2]] for rec in every_block[1:-1]]
+        stages = [[c[0] for c in rec[1]] for rec in every_block[1:-1]]
         assert stages == [
             ["reason_one_step", "self_eval", "self_eval"],
             ["decompose_split", "decompose_split", "decompose_execute", "decompose_execute",
@@ -767,5 +783,5 @@ class TestGoldenTranscript:
         # Any change to a prompt, the call order, a reward or a re-prompt ending shows up here.
         doc = json.dumps([every_block, failed_split, failed_plans], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(doc).hexdigest() == (
-            "0bba07ec1627da1c882f955e9aed309b98367710e1a3a5a7dfc41032d1573237"
+            "a6383a6447f3fb3e1ccb397aea9bfd9e0c92e68bfb432dcd133303ad6b1d8c58"
         )

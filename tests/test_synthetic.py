@@ -263,7 +263,7 @@ class TestSyntheticEpisode:
         ep.reset()
         for _ in range(4):
             ep.step(ActionKind.REASON_ONE_STEP)
-        assert ep.legal_actions() == [ActionKind.TERMINATE]
+        assert ep.legal_actions() == (ActionKind.TERMINATE,)
         with pytest.raises(ValueError):
             ep.step(ActionKind.REASON_ONE_STEP)
         _, _, done = ep.step(ActionKind.TERMINATE)

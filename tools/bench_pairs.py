@@ -2,8 +2,10 @@
 
     python3 tools/bench_pairs.py --workload train_llm --parent <commit> [--pairs 10]
 
-The parent side is a clean export (git archive) of --parent; the change
-side is this working tree. Both run their own, unmodified perfbench/run.py
+Both sides run from a clean export (git archive): the parent side of
+--parent, the change side of this working tree, staged with its untracked
+files (ignored ones left out) into a temporary index, so that neither side
+runs from the checkout itself. Both run their own, unmodified perfbench/run.py
 with --trace 0 for BENCHMARK.json's run_seconds. Pair k runs seed
 SEEDS[k % 3] on both sides, and the side that runs first alternates. The
 summary holds, per end-to-end metric named in BENCHMARK.json, each side's
@@ -47,11 +49,11 @@ def git(*args: str, env: dict | None = None) -> str:
                           env=env).stdout.strip()
 
 
-def export(commit: str, into: Path) -> Path:
-    """The files of commit, as git archive writes them, under into/<commit>."""
-    tree = into / commit
+def export(treeish: str, into: Path) -> Path:
+    """The files of treeish (a commit or tree id), as git archive writes them, under into/<treeish>."""
+    tree = into / treeish
     tree.mkdir()
-    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", commit], stdout=subprocess.PIPE)
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", treeish], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait():
@@ -59,11 +61,15 @@ def export(commit: str, into: Path) -> Path:
     return tree
 
 
-def src_tree_id(scratch: Path) -> str:
-    """Git tree id of the working tree's src/, uncommitted edits included."""
+def working_tree_id(scratch: Path) -> str:
+    """Git tree id of the whole working tree, uncommitted edits and untracked files included.
+
+    The files are staged into an index under scratch, so the checkout's own
+    index is left as it is.
+    """
     env = {**os.environ, "GIT_INDEX_FILE": str(scratch / "index")}
-    git("add", "-A", "--", "src", env=env)
-    return git("write-tree", "--prefix=src/", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -137,14 +143,15 @@ def main(argv: list[str] | None = None) -> int:
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         scratch = Path(tmp)
-        parent_tree = export(parent_commit, scratch)
-        change = {"tree": "working tree", "head": git("rev-parse", "HEAD"), "src_tree": src_tree_id(scratch)}
+        tree_id = working_tree_id(scratch)
+        trees = {"parent": export(parent_commit, scratch), "change": export(tree_id, scratch)}
+        change = {"tree": tree_id, "head": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", f"{tree_id}:src")}
         for k in range(args.pairs):
             seed = SEEDS[k % len(SEEDS)]
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             result = {}
             for side in order:
-                result[side] = run_side(parent_tree if side == "parent" else ROOT, args.workload, seed, seconds)
+                result[side] = run_side(trees[side], args.workload, seed, seconds)
             pairs.append({"pair": k, "seed": seed, "ran_first": order[0],
                           "parent": result["parent"], "change": result["change"]})
             ops = [result[s]["metrics"].get("ops_per_s", {}).get("value", float("nan")) for s in ("parent", "change")]
